@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,18 +31,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .errors import (
-    CorruptSnapshot,
-    EmptyCorpus,
-    EmptyInput,
-    InvalidSchedule,
-    MissingSubstitution,
-    ProviderUnavailable,
-    TrieFusionError,
-    UnknownId,
-    UnknownToken,
-    VersionMismatch,
-)
+from .errors import ConfigError, TrieFusionError
 from .fusion import (
     CONTINUITY_SCALE,
     DEFAULT_TOP_K,
@@ -69,7 +59,7 @@ from .stream import (
     render_template,
     rolling_drift,
 )
-from .trie import PrefixTrie
+from .trie import PrefixTrie, TrieConfig
 from .vocab import VocabRegistry, tokenize
 
 ENV_SCENARIO = "TRIEFUSION_SCENARIO"
@@ -184,6 +174,39 @@ def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: i
     ]
 
 
+def _stream_item(row: dict, registry: VocabRegistry, previous_timestamp: float) -> StreamItem:
+    """One stream-file row, rejected up front if decoding would fail on or mis-score it."""
+    ids = tuple(tokenize(row["reference"], registry, grow=True))
+    prompt_len = int(row["prompt_len"])
+    spans = tuple(PlaceholderSpan(n, int(s), int(e), v) for n, s, e, v in row["spans"])
+    timestamp = float(row["timestamp"])
+    where = f"stream item {row['index']}"
+    for span in spans:
+        if not 0 <= span.start < span.end <= len(ids):
+            raise ValueError(
+                f"{where}: span {span.name} [{span.start}, {span.end}) is outside "
+                f"the {len(ids)}-token reference"
+            )
+    first_span = min((span.start for span in spans), default=len(ids))
+    if not 0 <= prompt_len <= first_span:
+        raise ValueError(f"{where}: prompt_len {prompt_len} is not within [0, {first_span}]")
+    if not (math.isfinite(timestamp) and timestamp > 0 and timestamp >= previous_timestamp):
+        raise ValueError(
+            f"{where}: timestamp {timestamp!r} must be finite, > 0 and "
+            f"not before the previous item's {previous_timestamp}"
+        )
+    return StreamItem(
+        index=int(row["index"]),
+        prompt=ids[:prompt_len],
+        reference=ids,
+        timestamp=timestamp,
+        concept_id=row["concept"],
+        prompt_text=" ".join(row["reference"].split()[:prompt_len]),
+        reference_text=" ".join(row["reference"].split()),
+        spans=spans,
+    )
+
+
 def build_experiment(
     scenario: dict,
     seed_override: int | None = None,
@@ -214,21 +237,7 @@ def build_experiment(
     else:
         stream = []
         for row in stream_items:
-            ids = tuple(tokenize(row["reference"], registry, grow=True))
-            prompt_len = int(row["prompt_len"])
-            spans = tuple(PlaceholderSpan(n, int(s), int(e), v) for n, s, e, v in row["spans"])
-            stream.append(
-                StreamItem(
-                    index=int(row["index"]),
-                    prompt=ids[:prompt_len],
-                    reference=ids,
-                    timestamp=float(row["timestamp"]),
-                    concept_id=row["concept"],
-                    prompt_text=" ".join(row["reference"].split()[:prompt_len]),
-                    reference_text=" ".join(row["reference"].split()),
-                    spans=spans,
-                )
-            )
+            stream.append(_stream_item(row, registry, stream[-1].timestamp if stream else 0.0))
 
     warm = scenario.get("warmup") or {}
     return Experiment(
@@ -248,10 +257,33 @@ def build_experiment(
 # engine configuration
 
 
+# Engine settings a flag can override: name -> (scenario section, type,
+# default, help). The name is both the flag's dest and the scenario key.
+SETTINGS = {
+    "n_max": ("engine", int, 5, "trie window length"),
+    "top_k": ("engine", int, DEFAULT_TOP_K, "disagreement top-k"),
+    "fixed_temperature": ("engine", float, 1.0, "temperature for the temp-scaled preset"),
+    "max_new_tokens": ("engine", int, DEFAULT_MAX_NEW_TOKENS, "generation cap per item"),
+    "order": ("base_lm", int, 3, "built-in n-gram order"),
+    "smoothing_k": ("base_lm", float, 1.0, "built-in add-k constant"),
+}
+
+
+def _flag_or(args, name: str, fallback):
+    """The flag's value when it was given, even 0 or empty, else ``fallback``."""
+    value = getattr(args, name, None)
+    return fallback if value is None else value
+
+
+def _setting(scenario: dict, args, name: str):
+    section, kind, default, _ = SETTINGS[name]
+    return kind(_flag_or(args, name, (scenario.get(section) or {}).get(name, default)))
+
+
 def _engine_settings(scenario: dict, args) -> dict:
     engine = scenario.get("engine") or {}
     weight_spec = engine.get("weights") or {}
-    if getattr(args, "weights", None):
+    if getattr(args, "weights", None) is not None:
         parts = [float(p) for p in args.weights.split(",")]
         if len(parts) != 3:
             raise ValueError("--weights takes three comma-separated values")
@@ -262,25 +294,22 @@ def _engine_settings(scenario: dict, args) -> dict:
             length=float(weight_spec.get("length", 1.0 / 3.0)),
             recency=float(weight_spec.get("recency", 1.0 / 3.0)),
         )
+    n_max = _setting(scenario, args, "n_max")
+    TrieConfig(n_max)  # checked here as well: the baselines build no trie
     return {
         "weights": weights,
-        "n_max": int(getattr(args, "n_max", None) or engine.get("n_max", 5)),
-        "top_k": int(getattr(args, "top_k", None) or engine.get("top_k", DEFAULT_TOP_K)),
+        "n_max": n_max,
+        "top_k": _setting(scenario, args, "top_k"),
         "continuity_scale": float(engine.get("continuity_scale", CONTINUITY_SCALE)),
-        "fixed_temperature": float(
-            getattr(args, "fixed_temperature", None) or engine.get("fixed_temperature", 1.0)
-        ),
-        "max_new_tokens": int(
-            getattr(args, "max_new_tokens", None)
-            or engine.get("max_new_tokens", DEFAULT_MAX_NEW_TOKENS)
-        ),
+        "fixed_temperature": _setting(scenario, args, "fixed_temperature"),
+        "max_new_tokens": _setting(scenario, args, "max_new_tokens"),
     }
 
 
 def build_provider(experiment: Experiment, args) -> LogitProvider:
     base = experiment.scenario.get("base_lm") or {}
-    kind = getattr(args, "lm", None) or base.get("kind", "builtin")
-    if getattr(args, "lm_model", None):
+    kind = _flag_or(args, "lm", base.get("kind", "builtin"))
+    if getattr(args, "lm_model", None) is not None:
         model = NGramModel.load(args.lm_model)
         if model.vocab_size != len(experiment.registry):
             raise ValueError(
@@ -290,7 +319,7 @@ def build_provider(experiment: Experiment, args) -> LogitProvider:
             )
         return model
     if kind == "external":
-        endpoint = getattr(args, "endpoint", None) or base.get("endpoint")
+        endpoint = _flag_or(args, "endpoint", base.get("endpoint"))
         if not endpoint:
             raise ValueError("external base model needs --endpoint host:port")
         if isinstance(endpoint, str):
@@ -303,19 +332,18 @@ def build_provider(experiment: Experiment, args) -> LogitProvider:
         raise ValueError(f"unknown base_lm kind {kind!r}")
     if not experiment.warmup_corpus:
         raise ValueError("builtin base model needs warmup sentences to train on")
-    order = int(getattr(args, "order", None) or base.get("order", 3))
-    smoothing = float(getattr(args, "smoothing_k", None) or base.get("smoothing_k", 1.0))
     return train_ngram(
-        experiment.warmup_corpus, order, smoothing, vocab_size=len(experiment.registry)
+        experiment.warmup_corpus,
+        _setting(experiment.scenario, args, "order"),
+        _setting(experiment.scenario, args, "smoothing_k"),
+        vocab_size=len(experiment.registry),
     )
 
 
 def execute_strategy(
     experiment: Experiment, provider: LogitProvider, strategy: str, settings: dict
-) -> tuple[list[ItemRecord], PrefixTrie]:
-    trie = PrefixTrie(n_max=settings["n_max"])
-    if experiment.warmup_into_trie and experiment.warmup_corpus:
-        warm_start(trie, experiment.warmup_corpus, experiment.timestamp_step * 0.5)
+) -> tuple[list[ItemRecord], PrefixTrie | None]:
+    """Run one strategy over the stream; the trie is None for strategies that never read it."""
     decoder = Decoder(
         DecoderConfig(
             strategy=strategy,
@@ -325,6 +353,11 @@ def execute_strategy(
             fixed_temperature=settings["fixed_temperature"],
         )
     )
+    trie = None
+    if decoder.wants_prior:
+        trie = PrefixTrie(n_max=settings["n_max"])
+        if experiment.warmup_into_trie and experiment.warmup_corpus:
+            warm_start(trie, experiment.warmup_corpus, experiment.timestamp_step * 0.5)
     records = run_online(
         experiment.stream,
         trie,
@@ -387,31 +420,17 @@ def write_trace(records: list[ItemRecord], path: Path, registry: VocabRegistry) 
         for record in records:
             rows = zip(record.steps, record.generated, record.priors)
             for step, (diag, token, prior) in enumerate(rows):
-                fh.write(
-                    _dump_json_line(
-                        {
-                            "item": record.index,
-                            "step": step,
-                            "gamma": diag.gamma,
-                            "omega": diag.omega,
-                            "continuity": diag.continuity,
-                            "temperature": diag.temperature,
-                            "temperature_clamped": diag.temperature_clamped,
-                            "c_lm": diag.c_lm,
-                            "c_trie": diag.c_trie,
-                            "c_lm_adjusted": diag.c_lm_adjusted,
-                            "c_trie_adjusted": diag.c_trie_adjusted,
-                            "bypass": diag.bypass,
-                            "chosen": int(token),
-                            "chosen_token": registry.token_of(token),
-                            "prior": (
-                                None
-                                if prior is None
-                                else [[int(t), p] for t, p in prior]
-                            ),
-                        }
-                    )
-                )
+                # vars, not dataclasses.asdict: the fields are scalars, and
+                # asdict's deep copy doubles the cost of writing a trace
+                row = {
+                    **vars(diag),
+                    "item": record.index,
+                    "step": step,
+                    "chosen": int(token),
+                    "chosen_token": registry.token_of(token),
+                    "prior": None if prior is None else [[int(t), p] for t, p in prior],
+                }
+                fh.write(_dump_json_line(row))
 
 
 def write_table(summaries: list[dict], path: Path) -> None:
@@ -447,7 +466,7 @@ def _telemetry(experiment: Experiment) -> list[list]:
 
 
 def _scenario_arg(args) -> str:
-    source = getattr(args, "scenario", None) or os.environ.get(ENV_SCENARIO)
+    source = _flag_or(args, "scenario", os.environ.get(ENV_SCENARIO))
     if not source:
         raise ValueError(
             f"no scenario given: pass --scenario or set {ENV_SCENARIO}"
@@ -467,7 +486,7 @@ def _load_stream_file(path: str) -> tuple[dict, list[dict]]:
 
 
 def _experiment_from_args(args) -> Experiment:
-    if getattr(args, "stream", None):
+    if getattr(args, "stream", None) is not None:
         if getattr(args, "seed", None) is not None:
             raise ValueError("--seed cannot override a pre-generated stream file")
         scenario, items = _load_stream_file(args.stream)
@@ -509,6 +528,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.save_trie is not None and args.strategy != "odd":
+        raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
     experiment = _experiment_from_args(args)
     settings = _engine_settings(experiment.scenario, args)
     provider = build_provider(experiment, args)
@@ -516,7 +537,7 @@ def cmd_run(args) -> int:
     write_results(records, Path(args.out))
     if args.trace:
         write_trace(records, Path(args.trace), experiment.registry)
-    if args.save_trie:
+    if args.save_trie is not None:
         Path(args.save_trie).write_bytes(trie.snapshot())
     summary = summarize_strategy(experiment, records, args.strategy)
     payload = {
@@ -607,19 +628,11 @@ def cmd_train_lm(args) -> int:
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weights", help="frequency,length,recency scoring weights")
-    parser.add_argument("--n-max", type=int, dest="n_max", help="trie window length")
-    parser.add_argument("--top-k", type=int, dest="top_k", help="disagreement top-k")
-    parser.add_argument(
-        "--fixed-temperature", type=float, dest="fixed_temperature",
-        help="temperature for the temp-scaled preset",
-    )
-    parser.add_argument(
-        "--max-new-tokens", type=int, dest="max_new_tokens", help="generation cap per item"
-    )
-    parser.add_argument("--order", type=int, help="built-in n-gram order")
-    parser.add_argument(
-        "--smoothing-k", type=float, dest="smoothing_k", help="built-in add-k constant"
-    )
+    for name, (section, kind, default, text) in SETTINGS.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=kind, dest=name,
+            help=f"{text} (default: scenario {section}.{name}, else {default})",
+        )
     parser.add_argument("--lm", choices=("builtin", "external"), help="base model kind")
     parser.add_argument("--endpoint", help="host:port of an external logit provider")
     parser.add_argument("--lm-model", dest="lm_model", help="pre-trained n-gram model file")
@@ -650,7 +663,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="per-item results (JSON lines)")
     p.add_argument("--summary", help="write a summary JSON here")
     p.add_argument("--trace", help="write per-step diagnostics here")
-    p.add_argument("--save-trie", dest="save_trie", help="write the final trie snapshot here")
+    p.add_argument(
+        "--save-trie", dest="save_trie", help="write the final trie snapshot here (odd only)"
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="all three strategies on one stream")
@@ -690,23 +705,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProviderUnavailable as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        InvalidSchedule,
-        MissingSubstitution,
-        CorruptSnapshot,
-        VersionMismatch,
-        UnknownToken,
-        UnknownId,
-        EmptyInput,
-        EmptyCorpus,
-    ) as exc:
+    except (ValueError, KeyError, OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except TrieFusionError as exc:

@@ -5,15 +5,19 @@ class TrieFusionError(Exception):
     """Base class for every package-specific error."""
 
 
-class EmptyInput(TrieFusionError):
+class ConfigError(TrieFusionError):
+    """Invalid input or configuration; the CLI exits 2 on these, 3 on the rest."""
+
+
+class EmptyInput(ConfigError):
     """Text to tokenize was empty after trimming."""
 
 
-class UnknownToken(TrieFusionError):
+class UnknownToken(ConfigError):
     """Surface form is not registered and growth was disabled."""
 
 
-class UnknownId(TrieFusionError):
+class UnknownId(ConfigError):
     """Token id falls outside the registry."""
 
 
@@ -25,11 +29,11 @@ class TimestampRegression(TrieFusionError):
     """Insertion timestamp is older than an already accepted one."""
 
 
-class CorruptSnapshot(TrieFusionError):
+class CorruptSnapshot(ConfigError):
     """Snapshot payload is truncated, malformed, or self-inconsistent."""
 
 
-class VersionMismatch(TrieFusionError):
+class VersionMismatch(ConfigError):
     """Snapshot was written by an unsupported format version."""
 
 
@@ -37,7 +41,7 @@ class EmptyCandidates(TrieFusionError):
     """Scoring or normalization was asked to run on zero candidates."""
 
 
-class EmptyCorpus(TrieFusionError):
+class EmptyCorpus(ConfigError):
     """Model training received no sequences."""
 
 
@@ -49,11 +53,11 @@ class NonPositiveTemperature(TrieFusionError):
     """Softmax temperature must be strictly positive."""
 
 
-class MissingSubstitution(TrieFusionError):
+class MissingSubstitution(ConfigError):
     """A template placeholder has no value under the active concept."""
 
 
-class InvalidSchedule(TrieFusionError):
+class InvalidSchedule(ConfigError):
     """Drift schedule parameters are inconsistent."""
 
 

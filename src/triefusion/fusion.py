@@ -224,6 +224,40 @@ def adjust_confidences(
     return adjusted_lm, adjusted_trie
 
 
+def _checked_logits(z: LogitVector) -> LogitVector:
+    z = np.asarray(z, dtype=float)
+    if z.size < 2:
+        raise ValueError("fusion needs a vocabulary of at least 2")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    return z
+
+
+def bypass_step(
+    z: LogitVector, state: FusionState, temperature: float = 1.0
+) -> tuple[TokenId, StepDiagnostics, FusionState]:
+    """Greedy step on the raw logits, with the base confidence read at ``temperature``.
+
+    Serves both baselines and every fusion step without trie candidates; the
+    temperature cannot change the argmax, only the reported confidence.
+    """
+    z = _checked_logits(z)
+    c_lm = entropy_confidence(softmax_with_temperature(z, temperature))
+    diagnostics = StepDiagnostics(
+        c_lm=c_lm,
+        c_trie=0.0,
+        c_lm_adjusted=c_lm,
+        c_trie_adjusted=0.0,
+        omega=0.0,
+        continuity=0.0,
+        gamma=1.0,
+        temperature=temperature,
+        temperature_clamped=False,
+        bypass=True,
+    )
+    return int(np.argmax(z)), diagnostics, replace(state, run_length=0)
+
+
 def fuse_step(
     z: LogitVector,
     prior: SparseDistribution | None,
@@ -231,29 +265,9 @@ def fuse_step(
     continuity_scale: float = CONTINUITY_SCALE,
 ) -> tuple[TokenId, StepDiagnostics, FusionState]:
     """One decoding step; returns (chosen token, diagnostics, updated state)."""
-    z = np.asarray(z, dtype=float)
-    if z.size < 2:
-        raise ValueError("fusion needs a vocabulary of at least 2")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-
     if prior is None:
-        q_base = softmax_with_temperature(z, 1.0)
-        c_lm = entropy_confidence(q_base)
-        diagnostics = StepDiagnostics(
-            c_lm=c_lm,
-            c_trie=0.0,
-            c_lm_adjusted=c_lm,
-            c_trie_adjusted=0.0,
-            omega=0.0,
-            continuity=0.0,
-            gamma=1.0,
-            temperature=1.0,
-            temperature_clamped=False,
-            bypass=True,
-        )
-        return int(np.argmax(z)), diagnostics, replace(state, run_length=0)
-
+        return bypass_step(z, state)
+    z = _checked_logits(z)
     for token in prior.probs:
         if not 0 <= token < z.size:
             raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
@@ -335,22 +349,7 @@ class Decoder:
         prior: SparseDistribution | None,
         state: FusionState,
     ) -> tuple[TokenId, StepDiagnostics, FusionState]:
-        strategy = self.config.strategy
-        if strategy == "greedy":
-            return fuse_step(z, None, state)
-        if strategy == "temp-scaled":
-            tempered = softmax_with_temperature(z, self.config.fixed_temperature)
-            diagnostics = StepDiagnostics(
-                c_lm=entropy_confidence(tempered),
-                c_trie=0.0,
-                c_lm_adjusted=entropy_confidence(tempered),
-                c_trie_adjusted=0.0,
-                omega=0.0,
-                continuity=0.0,
-                gamma=1.0,
-                temperature=self.config.fixed_temperature,
-                temperature_clamped=False,
-                bypass=True,
-            )
-            return int(np.argmax(tempered)), diagnostics, replace(state, run_length=0)
-        return fuse_step(z, prior, state, continuity_scale=self.config.continuity_scale)
+        if self.wants_prior:
+            return fuse_step(z, prior, state, continuity_scale=self.config.continuity_scale)
+        scaled = self.config.strategy == "temp-scaled"
+        return bypass_step(z, state, self.config.fixed_temperature if scaled else 1.0)

@@ -56,7 +56,7 @@ class ItemRecord:
 
 def decode_sequence(
     prompt: Sequence[TokenId],
-    trie: PrefixTrie,
+    trie: PrefixTrie | None,
     provider: LogitProvider,
     decoder: Decoder,
     now: float,
@@ -90,14 +90,16 @@ def decode_sequence(
 
 def run_online(
     stream: Sequence[StreamItem],
-    trie: PrefixTrie,
+    trie: PrefixTrie | None,
     provider: LogitProvider,
     decoder: Decoder,
     registry: VocabRegistry,
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     eos_id: TokenId | None = None,
 ) -> list[ItemRecord]:
-    """Strict test-then-train pass over the stream, in order."""
+    """Strict test-then-train pass over the stream, in order; a None trie stays unfilled."""
+    if max_new_tokens < 1:
+        raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     records: list[ItemRecord] = []
     for item in stream:
         ids, steps, priors = decode_sequence(
@@ -127,8 +129,9 @@ def run_online(
                 bypass_steps=sum(1 for s in steps if s.bypass),
             )
         )
-        observed = list(item.reference) + ([eos_id] if eos_id is not None else [])
-        trie.insert_sequence(observed, item.timestamp)
+        if trie is not None:
+            observed = list(item.reference) + ([eos_id] if eos_id is not None else [])
+            trie.insert_sequence(observed, item.timestamp)
     return records
 
 

@@ -8,8 +8,10 @@ Wire protocol ``logit-stream/1``: the serving side opens with one handshake
 line ``{"protocol": "logit-stream/1"}``. Each request is one line
 ``{"prefix": [int, ...], "vocab": int}`` and each response one line
 ``{"logits": [float, ...]}`` whose array length equals the requested vocab
-size. One request is answered at a time per connection; a malformed,
-truncated, or mis-sized response raises :class:`ProviderUnavailable`.
+size. A request the server cannot answer gets ``{"error": str}`` instead.
+One request is answered at a time per connection; an error reply or a
+malformed, truncated, or mis-sized response raises
+:class:`ProviderUnavailable`.
 """
 
 from __future__ import annotations
@@ -236,6 +238,8 @@ class ExternalLogitProvider(LogitProvider):
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProviderUnavailable(f"malformed response: {line!r}") from exc
+        if isinstance(payload, dict) and "error" in payload:
+            raise ProviderUnavailable(f"provider error: {payload['error']}")
         values = payload.get("logits") if isinstance(payload, dict) else None
         if not isinstance(values, list) or len(values) != self._vocab_size:
             raise ProviderUnavailable(
@@ -256,22 +260,37 @@ class ExternalLogitProvider(LogitProvider):
             self._socket.close()
 
 
+def _answer(provider: LogitProvider, line: str) -> dict:
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return {"error": f"malformed request: {exc}"}
+    if not isinstance(request, dict) or "prefix" not in request:
+        return {"error": "request must be an object with a prefix"}
+    if request.get("vocab") != provider.vocab_size:
+        return {"error": "vocab size mismatch"}
+    prefix = request["prefix"]
+    if not (isinstance(prefix, list) and all(type(t) is int for t in prefix)):
+        return {"error": "prefix must be a list of token ids"}
+    try:
+        vector = provider.logits(prefix)
+    except ValueError as exc:  # out-of-vocabulary prefix token
+        return {"error": str(exc)}
+    return {"logits": [float(v) for v in vector]}
+
+
 def serve_logits(provider: LogitProvider, reader, writer) -> None:
     """Answer ``logit-stream/1`` requests from ``provider`` until EOF.
 
-    Glue for hosts that want to expose a model over stdio or a socket; a
-    vocab-size mismatch is answered with an error object, which clients
-    surface as ProviderUnavailable.
+    Glue for hosts that want to expose a model over stdio or a socket. A
+    request the provider cannot answer (malformed JSON, a missing key, a
+    vocab-size mismatch, an out-of-vocabulary prefix) gets an error object,
+    which clients surface as ProviderUnavailable, and serving goes on.
     """
     writer.write(json.dumps({"protocol": PROTOCOL_VERSION}) + "\n")
     writer.flush()
     for line in reader:
         if not line.strip():
             continue
-        request = json.loads(line)
-        if request.get("vocab") != provider.vocab_size:
-            writer.write(json.dumps({"error": "vocab size mismatch"}) + "\n")
-        else:
-            vector = provider.logits(request["prefix"])
-            writer.write(json.dumps({"logits": [float(v) for v in vector]}) + "\n")
+        writer.write(json.dumps(_answer(provider, line)) + "\n")
         writer.flush()

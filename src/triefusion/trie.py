@@ -199,12 +199,15 @@ class PrefixTrie:
             raise CorruptSnapshot(f"bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise VersionMismatch(f"unsupported snapshot version {version}")
+        if not (math.isfinite(last_ts) and last_ts >= 0.0):
+            raise CorruptSnapshot(f"newest timestamp {last_ts!r} is not finite and >= 0")
         try:
             trie = cls(n_max=n_max)
         except ValueError as exc:
             raise CorruptSnapshot(str(exc)) from exc
 
         offset = _HEADER.size
+        last_record = len(payload) - _NODE.size
         # stack of [parent, children still to read]
         pending: list[list] = [[trie._root, root_kids]]
         read = 0
@@ -214,7 +217,7 @@ class PrefixTrie:
                 pending.pop()
                 continue
             pending[-1][1] = remaining - 1
-            if offset + _NODE.size > len(payload):
+            if offset > last_record:
                 raise CorruptSnapshot("payload truncated mid-record")
             token, freq, depth, recency, kids = _NODE.unpack_from(payload, offset)
             offset += _NODE.size
@@ -222,6 +225,14 @@ class PrefixTrie:
                 raise CorruptSnapshot(f"depth {depth} under parent depth {parent.depth}")
             if freq < 1:
                 raise CorruptSnapshot(f"node frequency {freq} below 1")
+            if freq > parent.frequency and parent.depth:  # the root keeps no frequency
+                raise CorruptSnapshot(
+                    f"node frequency {freq} above its parent's {parent.frequency}"
+                )
+            if not 0.0 < recency <= last_ts:
+                raise CorruptSnapshot(f"node recency {recency!r} outside (0, {last_ts}]")
+            if kids and depth >= n_max:
+                raise CorruptSnapshot(f"node at depth {depth} has children; n_max is {n_max}")
             if token in parent.children:
                 raise CorruptSnapshot(f"duplicate child token {token}")
             node = TrieNode(token, depth)

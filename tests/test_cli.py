@@ -1,3 +1,4 @@
+import argparse
 import json
 import socket
 
@@ -5,12 +6,18 @@ import numpy as np
 import pytest
 
 from triefusion.cli import (
+    SETTINGS,
+    _engine_settings,
     build_experiment,
+    build_provider,
     builtin_scenario_path,
+    execute_strategy,
     load_scenario,
     main,
 )
+from triefusion.harness import warm_start
 from triefusion.lm import train_ngram
+from triefusion.prior import ScoringWeights
 from triefusion.trie import PrefixTrie
 
 
@@ -368,3 +375,118 @@ class TestOtherScheduleKinds:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         concepts = {row["concept"] for row in rows}
         assert concepts == {"concept-1", "concept-2", "concept-3"}
+
+
+ZERO_MESSAGES = {
+    "n_max": "n_max must be >= 2",
+    "top_k": "top_k must be >= 1",
+    "fixed_temperature": "fixed_temperature must be > 0",
+    "max_new_tokens": "max_new_tokens must be >= 1",
+    "order": "order must be >= 1",
+    "smoothing_k": "smoothing_k must be > 0",
+}
+
+
+class TestSettingsTable:
+    def test_every_table_setting_has_a_zero_case(self):
+        assert set(SETTINGS) == set(ZERO_MESSAGES)
+
+    @pytest.mark.parametrize("name", sorted(ZERO_MESSAGES))
+    def test_zero_flag_reaches_validator(self, tmp_path, small_scenario, capsys, name):
+        out = tmp_path / "r.jsonl"
+        flag = "--" + name.replace("_", "-")
+        assert main(["run", "--scenario", str(small_scenario), flag, "0",
+                     "--out", str(out)]) == 2
+        assert ZERO_MESSAGES[name] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(ZERO_MESSAGES))
+    def test_zero_scenario_value_reaches_validator(self, tmp_path, small_scenario, capsys,
+                                                   name):
+        scenario = json.loads(small_scenario.read_text())
+        section = SETTINGS[name][0]
+        scenario[section] = {**scenario.get(section, {}), name: 0}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert ZERO_MESSAGES[name] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_n_max_rejected_for_baselines_too(self, tmp_path, small_scenario):
+        assert main(["compare", "--scenario", str(small_scenario), "--n-max", "0",
+                     "--out-dir", str(tmp_path / "cmp")]) == 2
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("name", ["telco-abrupt", "telco-incremental", "telco-gradual"])
+    def test_unset_flags_take_scenario_values(self, name):
+        third = 1.0 / 3.0
+        assert _engine_settings(load_scenario(f"builtin:{name}"), argparse.Namespace()) == {
+            "weights": ScoringWeights(third, third, third),
+            "n_max": 5,
+            "top_k": 5,
+            "continuity_scale": 3.0,
+            "fixed_temperature": 1.5,
+            "max_new_tokens": 64,
+        }
+
+
+class TestTriesOnlyWhereRead:
+    @pytest.mark.parametrize("strategy", ["greedy", "temp-scaled"])
+    def test_save_trie_needs_odd(self, tmp_path, small_scenario, capsys, strategy):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--strategy", strategy,
+                     "--out", str(out), "--save-trie", str(tmp_path / "t.bin")]) == 2
+        assert "--save-trie" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_baselines_build_no_trie_and_odd_holds_warmup_plus_references(
+        self, small_scenario
+    ):
+        experiment = build_experiment(json.loads(small_scenario.read_text()))
+        settings = _engine_settings(experiment.scenario, argparse.Namespace())
+        provider = build_provider(experiment, argparse.Namespace())
+        for strategy in ("greedy", "temp-scaled"):
+            _, trie = execute_strategy(experiment, provider, strategy, settings)
+            assert trie is None
+        _, trie = execute_strategy(experiment, provider, "odd", settings)
+        fresh = PrefixTrie(n_max=settings["n_max"])
+        warm_start(fresh, experiment.warmup_corpus, experiment.timestamp_step * 0.5)
+        for item in experiment.stream:
+            fresh.insert_sequence(list(item.reference) + [experiment.eos_id], item.timestamp)
+        assert trie.snapshot() == fresh.snapshot()
+
+
+def _rewrite_row(stream, row_number, edit):
+    lines = stream.read_text().splitlines()
+    row = json.loads(lines[row_number])
+    edit(row)
+    lines[row_number] = json.dumps(row)
+    stream.write_text("\n".join(lines) + "\n")
+
+
+class TestStreamFileValidation:
+    @pytest.mark.parametrize(
+        "row_number, edit, message",
+        [
+            (30, lambda row: row.update(timestamp=1.0), "timestamp"),
+            (30, lambda row: row.update(timestamp=float("nan")), "timestamp"),
+            (1, lambda row: row.update(timestamp=0.0), "timestamp"),
+            (12, lambda row: row["spans"][0].__setitem__(2, 999), "outside"),
+            (12, lambda row: row["spans"][0].__setitem__(1, -1), "outside"),
+            (12, lambda row: row["spans"][0].__setitem__(2, row["spans"][0][1]), "outside"),
+            (12, lambda row: row.update(prompt_len=50), "prompt_len"),
+            (12, lambda row: row.update(prompt_len=-1), "prompt_len"),
+        ],
+        ids=["timestamp-regression", "nan-timestamp", "zero-timestamp", "span-past-end",
+             "negative-span-start", "empty-span", "prompt-past-span", "negative-prompt"],
+    )
+    def test_bad_row_rejected_before_any_output(self, tmp_path, small_scenario, capsys,
+                                                row_number, edit, message):
+        stream = tmp_path / "stream.jsonl"
+        main(["simulate", "--scenario", str(small_scenario), "--out", str(stream)])
+        _rewrite_row(stream, row_number, edit)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--stream", str(stream), "--out-dir", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()

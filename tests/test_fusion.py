@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triefusion import fusion
 from triefusion.errors import NonPositiveTemperature
 from triefusion.fusion import (
     Decoder,
@@ -314,6 +315,19 @@ class TestDecoderPresets:
         token, diag, _ = decoder.step(z, None, decoder.initial_state())
         assert token == 1
         assert diag.temperature == 7.5 and diag.gamma == 1.0
+
+    def test_temp_scaled_step_reads_confidence_once(self, monkeypatch):
+        calls = []
+        original = fusion.entropy_confidence
+
+        def counting(q):
+            calls.append(1)
+            return original(q)
+
+        monkeypatch.setattr(fusion, "entropy_confidence", counting)
+        decoder = Decoder(DecoderConfig(strategy="temp-scaled", fixed_temperature=1.5))
+        decoder.step(np.array([0.2, 1.9, -0.3]), None, decoder.initial_state())
+        assert len(calls) == 1
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

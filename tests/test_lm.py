@@ -176,6 +176,33 @@ class TestExternalProtocol:
         assert json.loads(lines[0]) == {"protocol": PROTOCOL_VERSION}
         assert "error" in json.loads(lines[1])
 
+    def test_bad_requests_get_errors_and_serving_continues(self):
+        requests = [
+            "{not json",
+            json.dumps([0, 1]),
+            json.dumps({"vocab": 4}),
+            json.dumps({"prefix": [9], "vocab": 4}),
+            json.dumps({"prefix": ["a"], "vocab": 4}),
+            json.dumps({"prefix": [1], "vocab": 4}),
+        ]
+        reader = io.StringIO("".join(line + "\n" for line in requests))
+        writer = io.StringIO()
+        serve_logits(UniformLogitProvider(4), reader, writer)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()[1:]]
+        assert len(replies) == len(requests)
+        assert all(set(reply) == {"error"} for reply in replies[:-1])
+        assert "outside vocabulary" in replies[3]["error"]
+        assert replies[-1] == {"logits": [0.0] * 4}
+
+    def test_error_reply_carries_server_text(self):
+        reader, writer = _stub_server([
+            json.dumps({"protocol": PROTOCOL_VERSION}),
+            json.dumps({"error": "prefix token 9 outside vocabulary of 4"}),
+        ])
+        provider = ExternalLogitProvider(reader, writer, vocab_size=4)
+        with pytest.raises(ProviderUnavailable, match="prefix token 9 outside vocabulary of 4"):
+            provider.logits([0])
+
     def test_tcp_connection_refused(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))

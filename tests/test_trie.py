@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from triefusion.errors import (
     TimestampRegression,
     VersionMismatch,
 )
-from triefusion.trie import FeatureTriple, PrefixTrie, TrieConfig
+from triefusion.trie import _HEADER, _NODE, FeatureTriple, PrefixTrie, TrieConfig
 from triefusion.vocab import tokenize
 
 
@@ -199,6 +200,109 @@ class TestSnapshot:
         )
         assert trie.snapshot() == golden
         assert PrefixTrie.restore(golden).snapshot() == golden
+
+
+def _chain_snapshot():
+    """n_max 3; preorder 1 > 1,2 > 1,2,3 | 2 > 2,3 | 3; timestamps 5 then 7."""
+    trie = PrefixTrie(n_max=3)
+    trie.insert_sequence([1, 2, 3], 5.0)
+    trie.insert_sequence([1], 7.0)
+    return bytearray(trie.snapshot())
+
+
+def _patch_header(payload, **fields):
+    names = ("magic", "version", "n_max", "last_ts", "nodes", "inserted", "root_kids")
+    values = dict(zip(names, _HEADER.unpack_from(payload, 0)))
+    values.update(fields)
+    _HEADER.pack_into(payload, 0, *(values[name] for name in names))
+    return bytes(payload)
+
+
+def _patch_node(payload, index, **fields):
+    names = ("token", "frequency", "depth", "recency", "children")
+    offset = _HEADER.size + index * _NODE.size
+    values = dict(zip(names, _NODE.unpack_from(payload, offset)))
+    values.update(fields)
+    _NODE.pack_into(payload, offset, *(values[name] for name in names))
+    return bytes(payload)
+
+
+class TestRestoreConsistency:
+    def test_fixture_restores(self):
+        payload = bytes(_chain_snapshot())
+        assert PrefixTrie.restore(payload).snapshot() == payload
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # node 1,2 (depth 2) keeps its child although n_max is now 2
+            lambda p: _patch_header(p, n_max=2),
+            lambda p: _patch_header(p, last_ts=math.inf),
+            lambda p: _patch_header(p, last_ts=math.nan),
+            lambda p: _patch_node(p, 0, recency=math.nan),
+            lambda p: _patch_node(p, 0, recency=0.0),
+            lambda p: _patch_node(p, 0, recency=7.5),
+            # node 1,2 seen once under node 1 seen twice
+            lambda p: _patch_node(p, 1, frequency=3),
+        ],
+        ids=["children-at-n-max", "inf-last-ts", "nan-last-ts", "nan-recency",
+             "zero-recency", "recency-after-last-ts", "frequency-above-parent"],
+    )
+    def test_inconsistent_snapshot_rejected(self, corrupt):
+        with pytest.raises(CorruptSnapshot):
+            PrefixTrie.restore(corrupt(_chain_snapshot()))
+
+
+def _assert_consistent(trie):
+    last = trie.last_timestamp
+    assert math.isfinite(last)
+    n_max = trie.config.n_max
+    count = 0
+    for child in trie._root.children.values():
+        assert child.depth == 1
+    for node in trie.walk():
+        count += 1
+        assert 1 <= node.depth <= n_max
+        assert node.frequency >= 1
+        assert 0.0 < node.recency <= last
+        assert not (node.children and node.depth == n_max)
+        for child in node.children.values():
+            assert child.depth == node.depth + 1
+            assert child.frequency <= node.frequency
+    assert count == trie.stats().node_count
+
+
+def _fuzz_base() -> bytes:
+    trie = PrefixTrie(n_max=3)
+    for stamp, seq in enumerate([[1, 2, 3, 1], [2, 3], [1, 2, 2, 4, 1], [4]], start=1):
+        trie.insert_sequence(seq, float(stamp))
+    return trie.snapshot()
+
+
+_FUZZ_PAYLOAD = _fuzz_base()
+
+
+@st.composite
+def _mutated_snapshot(draw):
+    payload = bytearray(_FUZZ_PAYLOAD)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        position = draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        payload[position] = draw(st.integers(min_value=0, max_value=255))
+    return bytes(payload)
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: b"PTR1\x01\x00" + tail),
+    _mutated_snapshot(),
+))
+@settings(max_examples=400, deadline=None)
+def test_restore_yields_consistent_trie_or_raises(payload):
+    try:
+        trie = PrefixTrie.restore(payload)
+    except (CorruptSnapshot, VersionMismatch):
+        return
+    _assert_consistent(trie)
 
 
 class TestOracleEquivalence:
