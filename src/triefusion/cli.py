@@ -96,6 +96,14 @@ def builtin_scenario_path(name: str) -> Path:
     return Path(str(packaged))
 
 
+def _number(kind, value, key: str):
+    """``kind(value)`` for a scenario value; a null or a non-number names its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario key {key!r} needs a number, got {value!r}") from None
+
+
 def load_scenario(source: str) -> dict:
     if source.startswith("builtin:"):
         path = builtin_scenario_path(source.split(":", 1)[1])
@@ -123,7 +131,7 @@ def _parse_schedule(scenario: dict, seed: int) -> DriftSchedule:
     if "ramp" in raw:
         ramp_spec = raw["ramp"]
         if isinstance(ramp_spec, dict):
-            length = int(scenario["length"])
+            length = _number(int, scenario["length"], "length")
             start, end = float(ramp_spec["start"]), float(ramp_spec["end"])
             if length == 1:
                 ramp = (end,)
@@ -159,7 +167,7 @@ class Experiment:
 
 def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: int) -> list[str]:
     warm = scenario.get("warmup") or {}
-    count = int(warm.get("sentences", 0))
+    count = _number(int, warm.get("sentences", 0), "warmup.sentences")
     if count == 0:
         return []
     concept_id = warm.get("concept", concepts[0].concept_id)
@@ -218,7 +226,7 @@ def build_experiment(
     index order, so rebuilding from a stream file lands on the same id
     space as generating directly from the scenario.
     """
-    seed = int(scenario["seed"]) if seed_override is None else seed_override
+    seed = _number(int, scenario["seed"], "seed") if seed_override is None else seed_override
     # the scenario carried forward (e.g. into stream-file headers) must
     # reflect the seed actually used
     scenario = {**scenario, "seed": seed}
@@ -228,12 +236,13 @@ def build_experiment(
     warmup_texts = _build_warmup_texts(scenario, concepts, seed)
     warmup_corpus = [tokenize(text, registry, grow=True) + [eos_id] for text in warmup_texts]
     schedule = _parse_schedule(scenario, seed)
-    timestamp_step = float(scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP))
+    timestamp_step = _number(
+        float, scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP), "timestamp_step"
+    )
 
     if stream_items is None:
-        stream = generate_stream(
-            scenario["templates"], schedule, int(scenario["length"]), registry, timestamp_step
-        )
+        length = _number(int, scenario["length"], "length")
+        stream = generate_stream(scenario["templates"], schedule, length, registry, timestamp_step)
     else:
         stream = []
         for row in stream_items:
@@ -277,7 +286,8 @@ def _flag_or(args, name: str, fallback):
 
 def _setting(scenario: dict, args, name: str):
     section, kind, default, _ = SETTINGS[name]
-    return kind(_flag_or(args, name, (scenario.get(section) or {}).get(name, default)))
+    value = _flag_or(args, name, (scenario.get(section) or {}).get(name, default))
+    return _number(kind, value, f"{section}.{name}")
 
 
 def _engine_settings(scenario: dict, args) -> dict:
@@ -289,18 +299,19 @@ def _engine_settings(scenario: dict, args) -> dict:
             raise ValueError("--weights takes three comma-separated values")
         weights = ScoringWeights(*parts)
     else:
-        weights = ScoringWeights(
-            frequency=float(weight_spec.get("frequency", 1.0 / 3.0)),
-            length=float(weight_spec.get("length", 1.0 / 3.0)),
-            recency=float(weight_spec.get("recency", 1.0 / 3.0)),
-        )
+        weights = ScoringWeights(*(
+            _number(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
+            for name in ("frequency", "length", "recency")
+        ))
     n_max = _setting(scenario, args, "n_max")
     TrieConfig(n_max)  # checked here as well: the baselines build no trie
     return {
         "weights": weights,
         "n_max": n_max,
         "top_k": _setting(scenario, args, "top_k"),
-        "continuity_scale": float(engine.get("continuity_scale", CONTINUITY_SCALE)),
+        "continuity_scale": _number(
+            float, engine.get("continuity_scale", CONTINUITY_SCALE), "engine.continuity_scale"
+        ),
         "fixed_temperature": _setting(scenario, args, "fixed_temperature"),
         "max_new_tokens": _setting(scenario, args, "max_new_tokens"),
     }
@@ -452,7 +463,7 @@ def write_summary(payload: dict, path: Path) -> None:
 
 
 def _telemetry(experiment: Experiment) -> list[list]:
-    window = int(experiment.scenario.get("telemetry_window", 0))
+    window = _number(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
     if window < 1:
         return []
     refs = [item.reference for item in experiment.stream]
@@ -559,22 +570,22 @@ def cmd_compare(args) -> int:
     experiment = _experiment_from_args(args)
     settings = _engine_settings(experiment.scenario, args)
     provider = build_provider(experiment, args)
+    runs = {
+        strategy: execute_strategy(experiment, provider, strategy, settings)[0]
+        for strategy in STRATEGY_ORDER
+    }
+    summaries = [summarize_strategy(experiment, runs[s], s) for s in STRATEGY_ORDER]
+    telemetry = _telemetry(experiment)
+    # created only now, so that a failed strategy leaves no directory behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for strategy in STRATEGY_ORDER:
-        records, _ = execute_strategy(experiment, provider, strategy, settings)
+    for strategy, records in runs.items():
         write_results(records, out_dir / f"results_{strategy}.jsonl")
         if args.trace:
             write_trace(records, out_dir / f"trace_{strategy}.jsonl", experiment.registry)
-        summaries.append(summarize_strategy(experiment, records, strategy))
     write_table(summaries, out_dir / "summary.tsv")
     write_summary(
-        {
-            "seed": experiment.seed,
-            "strategies": summaries,
-            "telemetry": _telemetry(experiment),
-        },
+        {"seed": experiment.seed, "strategies": summaries, "telemetry": telemetry},
         out_dir / "summary.json",
     )
     for summary in summaries:
@@ -595,12 +606,9 @@ def cmd_trie(args) -> int:
     )
     if args.dump:
         registry = VocabRegistry.load(args.vocab) if args.vocab else None
-        for node in trie.walk():
-            label = registry.token_of(node.token) if registry else str(node.token)
-            print(
-                "  " * (node.depth - 1)
-                + f"{label} F={node.frequency} L={node.depth} R={node.recency}"
-            )
+        for token, frequency, depth, recency, _ in trie.walk():
+            label = registry.token_of(token) if registry else str(token)
+            print("  " * (depth - 1) + f"{label} F={frequency} L={depth} R={recency}")
     return 0
 
 

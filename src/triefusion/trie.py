@@ -8,12 +8,20 @@ one distinct windowed n-gram and stores:
 * ``depth``      -- its length in tokens (fixed at creation),
 * ``recency``    -- the newest timestamp among its occurrences.
 
+Nodes are integer ids into per-node columns, node 0 being the root: a list
+of child maps (token -> node id) and plain lists of token, depth, frequency
+and recency. Child maps keep insertion order, which fixes the preorder of
+snapshots and the order of ``next_tokens``. A map that holds only ints is
+not tracked by the garbage collector, so the trie adds five tracked objects
+(its column lists) however many nodes it holds.
+
 Insertion touches O(len * n_max) nodes regardless of how many sequences the
 trie already holds. The trie takes an internal lock around mutation and
 lookup, so a reader never observes a partially inserted sequence; there is
 a single writer (the stream) and timestamps must be non-decreasing.
 
-Snapshot format, version 1, little-endian, stable across releases::
+Snapshot format, version 1, little-endian, stable across releases and
+independent of the in-memory layout::
 
     magic       4s  b"PTR1"
     version     H
@@ -66,20 +74,6 @@ class TrieConfig:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
 
 
-class TrieNode:
-    __slots__ = ("token", "children", "frequency", "depth", "recency")
-
-    def __init__(self, token: TokenId, depth: int):
-        self.token = token
-        self.children: dict[TokenId, TrieNode] = {}
-        self.frequency = 0
-        self.depth = depth
-        self.recency = 0.0
-
-    def features(self) -> FeatureTriple:
-        return FeatureTriple(self.frequency, self.depth, self.recency)
-
-
 class TrieStats(NamedTuple):
     node_count: int
     total_insertions: int
@@ -88,8 +82,11 @@ class TrieStats(NamedTuple):
 class PrefixTrie:
     def __init__(self, n_max: int = 5):
         self.config = TrieConfig(n_max)
-        self._root = TrieNode(token=-1, depth=0)
-        self._node_count = 0
+        self._children: list[dict[TokenId, int]] = [{}]
+        self._token: list[TokenId] = [-1]
+        self._depth: list[int] = [0]
+        self._frequency: list[int] = [0]
+        self._recency: list[float] = [0.0]
         self._total_insertions = 0
         self._last_timestamp = 0.0
         self._lock = threading.Lock()
@@ -116,19 +113,22 @@ class PrefixTrie:
                 f"timestamp {timestamp} predates last accepted {self._last_timestamp}"
             )
         n_max = self.config.n_max
+        children, frequency, recency = self._children, self._frequency, self._recency
         visits = 0
         with self._lock:
             for start in range(len(tokens)):
-                node = self._root
+                node = 0
                 for token in tokens[start : start + n_max]:
-                    child = node.children.get(token)
+                    child = children[node].get(token)
                     if child is None:
-                        child = TrieNode(token, node.depth + 1)
-                        node.children[token] = child
-                        self._node_count += 1
-                    child.frequency += 1
-                    if timestamp > child.recency:
-                        child.recency = timestamp
+                        child = children[node][token] = len(children)
+                        children.append({})
+                        self._token.append(token)
+                        self._depth.append(self._depth[node] + 1)
+                        frequency.append(0)
+                        recency.append(0.0)
+                    frequency[child] += 1
+                    recency[child] = timestamp  # never older: timestamps do not decrease
                     node = child
                     visits += 1
             self._last_timestamp = timestamp
@@ -142,51 +142,50 @@ class PrefixTrie:
         yields the root's children.
         """
         with self._lock:
-            node = self._root
+            node = 0
             for token in suffix:
-                node = node.children.get(token)
+                node = self._children[node].get(token)
                 if node is None:
                     return []
-            return [(token, child.features()) for token, child in node.children.items()]
+            frequency, depth, recency = self._frequency, self._depth, self._recency
+            return [
+                (token, FeatureTriple(frequency[child], depth[child], recency[child]))
+                for token, child in self._children[node].items()
+            ]
 
     def stats(self) -> TrieStats:
-        return TrieStats(self._node_count, self._total_insertions)
+        return TrieStats(len(self._token) - 1, self._total_insertions)
 
-    def walk(self) -> Iterator[TrieNode]:
-        """Preorder traversal of all nodes below the root."""
-        stack = list(reversed(self._root.children.values()))
+    def _preorder(self) -> list[int]:
+        """Ids of every node below the root, parents first, siblings in insertion order."""
+        children = self._children
+        order = []
+        stack = list(reversed(children[0].values()))
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(reversed(list(node.children.values())))
+            order.append(node)
+            stack.extend(reversed(children[node].values()))
+        return order
+
+    def walk(self) -> Iterator[tuple[TokenId, int, int, float, int]]:
+        """Preorder snapshot records ``(token, frequency, depth, recency, child_count)``."""
+        return _NODE.iter_unpack(memoryview(self.snapshot())[_HEADER.size :])
 
     def snapshot(self) -> bytes:
         with self._lock:
-            parts = [
-                _HEADER.pack(
-                    SNAPSHOT_MAGIC,
-                    SNAPSHOT_VERSION,
-                    self.config.n_max,
-                    self._last_timestamp,
-                    self._node_count,
-                    self._total_insertions,
-                    len(self._root.children),
-                )
-            ]
-            stack = list(reversed(self._root.children.values()))
-            while stack:
-                node = stack.pop()
-                parts.append(
-                    _NODE.pack(
-                        node.token,
-                        node.frequency,
-                        node.depth,
-                        node.recency,
-                        len(node.children),
-                    )
-                )
-                stack.extend(reversed(list(node.children.values())))
-            return b"".join(parts)
+            order = self._preorder()
+            payload = bytearray(_HEADER.size + len(order) * _NODE.size)
+            _HEADER.pack_into(payload, 0, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.config.n_max,
+                              self._last_timestamp, len(order), self._total_insertions,
+                              len(self._children[0]))
+            pack_into = _NODE.pack_into
+            token, frequency, depth = self._token, self._frequency, self._depth
+            recency, children = self._recency, self._children
+            offsets = range(_HEADER.size, len(payload), _NODE.size)
+            for offset, node in zip(offsets, order):
+                pack_into(payload, offset, token[node], frequency[node], depth[node],
+                          recency[node], len(children[node]))
+        return bytes(payload)
 
     @classmethod
     def restore(cls, payload: bytes) -> "PrefixTrie":
@@ -205,48 +204,44 @@ class PrefixTrie:
             trie = cls(n_max=n_max)
         except ValueError as exc:
             raise CorruptSnapshot(str(exc)) from exc
+        records = memoryview(payload)[_HEADER.size :]
+        if len(records) != node_count * _NODE.size:
+            raise CorruptSnapshot(f"declared {node_count} nodes, found {len(records)} record bytes")
 
-        offset = _HEADER.size
-        last_record = len(payload) - _NODE.size
-        # stack of [parent, children still to read]
-        pending: list[list] = [[trie._root, root_kids]]
-        read = 0
-        while pending:
-            parent, remaining = pending[-1]
-            if remaining == 0:
+        children, token_of, depth_of = trie._children, trie._token, trie._depth
+        frequency_of, recency_of = trie._frequency, trie._recency
+        pending = [[0, root_kids]]  # stack of [parent id, children still to read]
+        for token, freq, depth, recency, kids in _NODE.iter_unpack(records):
+            while pending and pending[-1][1] == 0:
                 pending.pop()
-                continue
-            pending[-1][1] = remaining - 1
-            if offset > last_record:
-                raise CorruptSnapshot("payload truncated mid-record")
-            token, freq, depth, recency, kids = _NODE.unpack_from(payload, offset)
-            offset += _NODE.size
-            if depth != parent.depth + 1:
-                raise CorruptSnapshot(f"depth {depth} under parent depth {parent.depth}")
+            if not pending:
+                raise CorruptSnapshot("records past the last declared child")
+            pending[-1][1] -= 1
+            parent = pending[-1][0]
+            if depth != depth_of[parent] + 1:
+                raise CorruptSnapshot(f"depth {depth} under parent depth {depth_of[parent]}")
             if freq < 1:
                 raise CorruptSnapshot(f"node frequency {freq} below 1")
-            if freq > parent.frequency and parent.depth:  # the root keeps no frequency
+            if parent and freq > frequency_of[parent]:  # the root keeps no frequency
                 raise CorruptSnapshot(
-                    f"node frequency {freq} above its parent's {parent.frequency}"
+                    f"node frequency {freq} above its parent's {frequency_of[parent]}"
                 )
             if not 0.0 < recency <= last_ts:
                 raise CorruptSnapshot(f"node recency {recency!r} outside (0, {last_ts}]")
             if kids and depth >= n_max:
                 raise CorruptSnapshot(f"node at depth {depth} has children; n_max is {n_max}")
-            if token in parent.children:
+            if token in children[parent]:
                 raise CorruptSnapshot(f"duplicate child token {token}")
-            node = TrieNode(token, depth)
-            node.frequency = freq
-            node.recency = recency
-            parent.children[token] = node
-            read += 1
+            node = children[parent][token] = len(children)
+            children.append({})
+            token_of.append(token)
+            depth_of.append(depth)
+            frequency_of.append(freq)
+            recency_of.append(recency)
             if kids:
                 pending.append([node, kids])
-        if read != node_count:
-            raise CorruptSnapshot(f"declared {node_count} nodes, found {read}")
-        if offset != len(payload):
-            raise CorruptSnapshot(f"{len(payload) - offset} trailing bytes")
-        trie._node_count = node_count
+        if any(remaining for _, remaining in pending):
+            raise CorruptSnapshot(f"child counts declare more than {node_count} nodes")
         trie._total_insertions = inserted
         trie._last_timestamp = last_ts
         return trie

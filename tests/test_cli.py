@@ -332,6 +332,13 @@ class TestCompare:
             expected = " ".join(experiment.registry.token_of(t) for t in shown)
             assert row["hypothesis"] == expected
 
+    def test_failed_strategy_leaves_no_out_dir(self, tmp_path, small_scenario):
+        # max_new_tokens is rejected inside the first strategy's run, not up front
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(small_scenario), "--max-new-tokens", "0",
+                     "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_builtin_scenarios_resolve(self):
         for name in ("telco-abrupt", "telco-incremental", "telco-gradual"):
             path = builtin_scenario_path(name)
@@ -411,6 +418,19 @@ class TestSettingsTable:
         out = tmp_path / "r.jsonl"
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
         assert ZERO_MESSAGES[name] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("engine", "top_k"), ("base_lm", "order"),
+                                              ("warmup", "sentences")])
+    def test_null_scenario_value_is_config_error(self, tmp_path, small_scenario, capsys,
+                                                 section, key):
+        scenario = json.loads(small_scenario.read_text())
+        scenario[section] = {**(scenario.get(section) or {}), key: None}
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_n_max_rejected_for_baselines_too(self, tmp_path, small_scenario):

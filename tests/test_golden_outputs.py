@@ -80,3 +80,18 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
         "--save-trie", str(out / "trie.bin"),
     ]) == 0
     assert _digests(out) == RUN_DIGESTS
+
+
+TRIE_DUMP_DIGEST = "eeca56139254cd755c85ec46e169c8217bd94c1e3e16d6a7564ac9041093be2d"
+
+
+def test_trie_dump_is_pinned(tmp_path, capsys):
+    vocab, snapshot = tmp_path / "vocab.txt", tmp_path / "trie.bin"
+    assert main(["simulate", "--scenario", "builtin:telco-abrupt",
+                 "--out", str(tmp_path / "stream.jsonl"), "--vocab-out", str(vocab)]) == 0
+    assert main(["run", "--scenario", "builtin:telco-abrupt",
+                 "--out", str(tmp_path / "results.jsonl"), "--save-trie", str(snapshot)]) == 0
+    capsys.readouterr()
+    assert main(["trie", "--snapshot", str(snapshot), "--dump", "--vocab", str(vocab)]) == 0
+    dump = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(dump).hexdigest() == TRIE_DUMP_DIGEST

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -17,10 +18,27 @@ from triefusion.vocab import tokenize
 
 
 def _features(trie, path):
-    node = trie._root
-    for token in path:
-        node = node.children[token]
-    return node.features()
+    return dict(trie.next_tokens(path[:-1]))[path[-1]]
+
+
+def _with_parents(trie):
+    """``(parent, record)`` for every walk record, the parent ``None`` under the root.
+
+    The tree is rebuilt from the preorder child counts alone, and every
+    declared child must be present.
+    """
+    pending = [[None, len(trie.next_tokens([]))]]
+    pairs = []
+    for record in trie.walk():
+        while pending and pending[-1][1] == 0:
+            pending.pop()
+        assert pending, "a record past the last declared child"
+        pending[-1][1] -= 1
+        pairs.append((pending[-1][0], record))
+        if record[4]:
+            pending.append([record, record[4]])
+    assert not any(remaining for _, remaining in pending)
+    return pairs
 
 
 class TestInsert:
@@ -114,9 +132,11 @@ class TestNextTokens:
 
     def test_depth_parent_child_relation(self, two_sentence_world):
         _, trie = two_sentence_world
-        for node in trie.walk():
-            for child in node.children.values():
-                assert child.depth == node.depth + 1
+        pairs = _with_parents(trie)
+        assert len(pairs) == trie.stats().node_count
+        for parent, (_, frequency, depth, _, _) in pairs:
+            assert depth == (1 if parent is None else parent[2] + 1)
+            assert parent is None or frequency <= parent[1]
 
 
 class TestStats:
@@ -153,9 +173,7 @@ class TestSnapshot:
         _, trie = two_sentence_world
         restored = PrefixTrie.restore(trie.snapshot())
         assert restored.snapshot() == trie.snapshot()
-        mine = [(n.token, n.depth, n.frequency, n.recency) for n in trie.walk()]
-        theirs = [(n.token, n.depth, n.frequency, n.recency) for n in restored.walk()]
-        assert mine == theirs
+        assert list(restored.walk()) == list(trie.walk())
         assert restored.last_timestamp == trie.last_timestamp
 
     def test_truncated_payload(self, two_sentence_world):
@@ -257,19 +275,18 @@ def _assert_consistent(trie):
     last = trie.last_timestamp
     assert math.isfinite(last)
     n_max = trie.config.n_max
-    count = 0
-    for child in trie._root.children.values():
-        assert child.depth == 1
-    for node in trie.walk():
-        count += 1
-        assert 1 <= node.depth <= n_max
-        assert node.frequency >= 1
-        assert 0.0 < node.recency <= last
-        assert not (node.children and node.depth == n_max)
-        for child in node.children.values():
-            assert child.depth == node.depth + 1
-            assert child.frequency <= node.frequency
-    assert count == trie.stats().node_count
+    pairs = _with_parents(trie)
+    for parent, (_, frequency, depth, recency, children) in pairs:
+        assert 1 <= depth <= n_max
+        assert frequency >= 1
+        assert 0.0 < recency <= last
+        assert not (children and depth == n_max)
+        if parent is None:
+            assert depth == 1
+        else:
+            assert depth == parent[2] + 1
+            assert frequency <= parent[1]
+    assert len(pairs) == trie.stats().node_count
 
 
 def _fuzz_base() -> bytes:
@@ -373,12 +390,27 @@ def test_concurrent_readers_never_see_partial_inserts():
 @settings(max_examples=60, deadline=None)
 def test_recency_monotone_property(sequences):
     trie = PrefixTrie(n_max=3)
-    seen: dict[int, float] = {}
+    seen: dict[tuple[int, ...], float] = {}
     stamp = 0.0
     for seq in sequences:
         stamp += 1.0
         trie.insert_sequence(seq, stamp)
-        for node in trie.walk():
-            key = id(node)
-            assert node.recency >= seen.get(key, 0.0)
-            seen[key] = node.recency
+        path: list[int] = []
+        for token, _, depth, recency, _ in trie.walk():
+            path[depth - 1 :] = [token]
+            key = tuple(path)
+            assert recency >= seen.get(key, 0.0)
+            seen[key] = recency
+
+
+def test_trie_holds_no_gc_tracked_nodes():
+    rng = random.Random(0)
+    sequences = [[rng.randrange(1000) for _ in range(10)] for _ in range(2000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    trie = PrefixTrie(n_max=5)
+    for stamp, seq in enumerate(sequences, start=1):
+        trie.insert_sequence(seq, float(stamp))
+    gc.collect()
+    assert trie.stats().node_count > 50_000
+    assert len(gc.get_objects()) - before < 100
