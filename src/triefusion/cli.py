@@ -124,25 +124,35 @@ def _parse_concepts(scenario: dict) -> list[ConceptSpec]:
     ]
 
 
+def _numbers(kind, value, key: str) -> tuple:
+    """``_number`` over a scenario list; anything but a list names its key."""
+    if not isinstance(value, list):
+        raise ValueError(f"scenario key {key!r} needs a list, got {value!r}")
+    return tuple(_number(kind, item, f"{key}[{i}]") for i, item in enumerate(value))
+
+
 def _parse_schedule(scenario: dict, seed: int) -> DriftSchedule:
     raw = scenario["schedule"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario key 'schedule' needs an object, got {raw!r}")
     kind = raw.get("kind", "abrupt")
     ramp: tuple[float, ...] = ()
     if "ramp" in raw:
         ramp_spec = raw["ramp"]
         if isinstance(ramp_spec, dict):
             length = _number(int, scenario["length"], "length")
-            start, end = float(ramp_spec["start"]), float(ramp_spec["end"])
+            start = _number(float, ramp_spec["start"], "schedule.ramp.start")
+            end = _number(float, ramp_spec["end"], "schedule.ramp.end")
             if length == 1:
                 ramp = (end,)
             else:
                 ramp = tuple(start + (end - start) * i / (length - 1) for i in range(length))
         else:
-            ramp = tuple(float(p) for p in ramp_spec)
+            ramp = _numbers(float, ramp_spec, "schedule.ramp")
     return DriftSchedule(
         kind=kind,
         concepts=tuple(_parse_concepts(scenario)),
-        switch_points=tuple(int(p) for p in raw.get("switch_points", ())),
+        switch_points=_numbers(int, raw.get("switch_points", []), "schedule.switch_points"),
         mixing_ramp=ramp,
         seed=seed,
     )

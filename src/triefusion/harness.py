@@ -97,10 +97,15 @@ def run_online(
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     eos_id: TokenId | None = None,
 ) -> list[ItemRecord]:
-    """Strict test-then-train pass over the stream, in order; a None trie stays unfilled."""
+    """Strict test-then-train pass over the stream, in order; a None trie stays unfilled.
+
+    Each distinct (reference, hypothesis) pair is scored once per call.
+    """
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     records: list[ItemRecord] = []
+    # bundles are frozen, so records of one pair share one
+    scored: dict[tuple[str, str], MetricBundle] = {}
     for item in stream:
         ids, steps, priors = decode_sequence(
             item.prompt,
@@ -113,7 +118,10 @@ def run_online(
         )
         shown = ids[:-1] if (eos_id is not None and ids and ids[-1] == eos_id) else ids
         hypothesis_text = detokenize(shown, registry)
-        bundle = evaluate_pair(item.reference_text, hypothesis_text)
+        pair = (item.reference_text, hypothesis_text)
+        bundle = scored.get(pair)
+        if bundle is None:
+            bundle = scored[pair] = evaluate_pair(*pair)
         records.append(
             ItemRecord(
                 index=item.index,

@@ -4,13 +4,18 @@ Conventions (also flagged in CLI output headers):
 
 * exact_match: whitespace-normalized string equality, 0 or 1.
 * edit_similarity: 1 - levenshtein/max-length at character level, so higher
-  is better and identical strings score 1.
+  is better and identical strings score 1. The distance is computed
+  bit-parallel (Myers 1999, Hyyro 2001): one Python int per DP column over
+  the shorter string, one pass over the longer, O(n * ceil(m / w)) word ops.
 * bleu: sentence-level, n-gram orders 1..4 but never longer than the
   hypothesis, uniform weights, add-one smoothing on every order, times the
   standard brevity penalty. Scores sit in [0, 1].
 * rouge_l: F1 of the longest common subsequence over whitespace tokens.
 * chrf: character n-gram F-score, orders 1..6 on whitespace-stripped text,
   recall-weighted with beta = 2, scaled to [0, 100].
+
+Bootstrap intervals resample with ``random.Random(seed).randrange`` picks
+and add each resample's values left to right, in item order.
 
 A token-frequency cosine is also provided as a cheap lexical overlap proxy;
 it is not an embedding similarity and is never reported as one.
@@ -24,9 +29,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EmptyList, EmptyReference
 
 METRIC_FIELDS = ("exact_match", "edit_similarity", "bleu", "rouge_l", "chrf")
+
+# Mersenne Twister words per bootstrap draw: 16 KB, so no transient array grows
+# with the resample count.
+_WORD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -42,19 +53,39 @@ class MetricBundle:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character edit distance, two-row dynamic program."""
+    """Character edit distance, bit-parallel over the shorter string.
+
+    Myers (JACM 1999) in Hyyro's (2001) formulation for global distance: bit
+    ``i`` of ``vp``/``vn`` holds the +1/-1 vertical delta of row ``i`` in the
+    current column, one Python int for the whole column, and ``score`` follows
+    the last row.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, char in enumerate(b):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    vp, vn, score = mask, 0, len(b)
+    for char in a:
+        eq = peq.get(char, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        # row 0 grows by one per column, so a +1 horizontal delta enters at bit 0
+        hp = ((hp << 1) | 1) & mask
+        hn = (hn << 1) & mask
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return score
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -170,27 +201,52 @@ def aggregate(bundles: Sequence[MetricBundle]) -> MetricBundle:
     )
 
 
+def _bootstrap_picks(rng: random.Random, count: int, n_resamples: int) -> np.ndarray:
+    """``rng.randrange(count)`` drawn ``n_resamples * count`` times, row-major.
+
+    ``randrange(count)`` keeps the top ``count.bit_length()`` bits of one
+    32-bit Mersenne Twister word and draws again while the value is not below
+    ``count``; ``getrandbits(32 * n)`` returns the next ``n`` words, first word
+    least significant. Drawing words in blocks and keeping the small ones
+    therefore yields the same picks in the same order, and the same words
+    consumed, up to the unused tail of the last block. Needs count < 2**32.
+    """
+    shift = 32 - count.bit_length()
+    picks = np.empty(n_resamples * count, dtype=np.min_scalar_type(count - 1))
+    filled = 0
+    while filled < picks.size:
+        raw = rng.getrandbits(32 * _WORD_BLOCK).to_bytes(4 * _WORD_BLOCK, "little")
+        values = np.frombuffer(raw, dtype="<u4") >> shift
+        kept = values[values < count][: picks.size - filled]
+        picks[filled : filled + kept.size] = kept
+        filled += kept.size
+    return picks.reshape(n_resamples, count)
+
+
 def aggregate_with_ci(
     bundles: Sequence[MetricBundle],
     n_resamples: int = 1000,
     seed: int = 0,
     confidence: float = 0.95,
 ) -> tuple[MetricBundle, dict[str, tuple[float, float]]]:
-    """Means plus seeded bootstrap percentile intervals per field."""
+    """Means plus seeded bootstrap percentile intervals per field.
+
+    Resample ``r`` is row ``r`` of the picks; its mean adds the picked values
+    in pick order, one ``sums +=`` per position, then divides by the count.
+    """
     means = aggregate(bundles)
-    rng = random.Random(seed)
     count = len(bundles)
-    columns = {name: [getattr(b, name) for b in bundles] for name in METRIC_FIELDS}
-    samples: dict[str, list[float]] = {name: [] for name in METRIC_FIELDS}
-    for _ in range(n_resamples):
-        picks = [rng.randrange(count) for _ in range(count)]
-        for name, column in columns.items():
-            samples[name].append(sum(column[i] for i in picks) / count)
+    picks = _bootstrap_picks(random.Random(seed), count, n_resamples)
     tail = (1.0 - confidence) / 2.0
-    intervals = {}
-    for name, values in samples.items():
-        values.sort()
-        lo_index = int(round(tail * (n_resamples - 1)))
-        hi_index = int(round((1.0 - tail) * (n_resamples - 1)))
-        intervals[name] = (values[lo_index], values[hi_index])
+    lo_index = int(round(tail * (n_resamples - 1)))
+    hi_index = int(round((1.0 - tail) * (n_resamples - 1)))
+    table = np.array([[getattr(b, name) for name in METRIC_FIELDS] for b in bundles])
+    sums = np.zeros((n_resamples, len(METRIC_FIELDS)))
+    for i in range(count):
+        sums += table[picks[:, i]]
+    values = np.sort(sums / count, axis=0)
+    intervals = {
+        name: (float(values[lo_index, f]), float(values[hi_index, f]))
+        for f, name in enumerate(METRIC_FIELDS)
+    }
     return means, intervals

@@ -1,12 +1,13 @@
 """Independent reference implementations of the lexical metrics.
 
 Kept deliberately different from the production code paths: full-matrix
-edit distance, memoized recursive LCS, product-form BLEU. Used to
-cross-check the bundled metric suite.
+edit distance, memoized recursive LCS, product-form BLEU, one ``randrange``
+call per bootstrap pick. Used to cross-check the bundled metric suite.
 """
 
 import itertools
 import math
+import random
 from collections import Counter
 from functools import lru_cache
 
@@ -100,3 +101,30 @@ def ref_edit_similarity(ref, hyp):
     if longest == 0:
         return 1.0
     return 1.0 - ref_levenshtein(ref, hyp) / longest
+
+
+FIELDS = ("exact_match", "edit_similarity", "bleu", "rouge_l", "chrf")
+
+
+def ref_aggregate_with_ci(bundles, n_resamples=1000, seed=0, confidence=0.95):
+    """Means and bootstrap percentile intervals, one ``randrange`` per pick.
+
+    Returns ``(means, intervals)`` as dicts keyed by field name.
+    """
+    count = len(bundles)
+    means = {name: sum(getattr(b, name) for b in bundles) / count for name in FIELDS}
+    rng = random.Random(seed)
+    columns = {name: [getattr(b, name) for b in bundles] for name in FIELDS}
+    samples = {name: [] for name in FIELDS}
+    for _ in range(n_resamples):
+        picks = [rng.randrange(count) for _ in range(count)]
+        for name, column in columns.items():
+            samples[name].append(sum(column[i] for i in picks) / count)
+    tail = (1.0 - confidence) / 2.0
+    intervals = {}
+    for name, values in samples.items():
+        values.sort()
+        lo_index = int(round(tail * (n_resamples - 1)))
+        hi_index = int(round((1.0 - tail) * (n_resamples - 1)))
+        intervals[name] = (values[lo_index], values[hi_index])
+    return means, intervals

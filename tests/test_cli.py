@@ -433,6 +433,26 @@ class TestSettingsTable:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule, key", [
+        ({"kind": "abrupt", "switch_points": None}, "schedule.switch_points"),
+        ({"kind": "abrupt", "switch_points": [None]}, "schedule.switch_points[0]"),
+        ({"kind": "abrupt", "switch_points": 20}, "schedule.switch_points"),
+        ({"kind": "gradual", "ramp": [None]}, "schedule.ramp[0]"),
+        ({"kind": "gradual", "ramp": {"start": None, "end": 1.0}}, "schedule.ramp.start"),
+        ({"kind": "gradual", "ramp": {"start": 0.0, "end": None}}, "schedule.ramp.end"),
+        (None, "schedule"),
+    ])
+    def test_bad_schedule_value_is_config_error(self, tmp_path, small_scenario, capsys,
+                                                schedule, key):
+        scenario = json.loads(small_scenario.read_text())
+        scenario["schedule"] = schedule
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "s.jsonl"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert f"scenario key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_n_max_rejected_for_baselines_too(self, tmp_path, small_scenario):
         assert main(["compare", "--scenario", str(small_scenario), "--n-max", "0",
                      "--out-dir", str(tmp_path / "cmp")]) == 2

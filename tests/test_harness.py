@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 
+from triefusion import harness
 from triefusion.fusion import Decoder, DecoderConfig
 from triefusion.harness import (
     decode_sequence,
@@ -9,6 +12,7 @@ from triefusion.harness import (
     warm_start,
 )
 from triefusion.lm import train_ngram
+from triefusion.metrics import evaluate_pair
 from triefusion.stream import ConceptSpec, DriftSchedule, generate_stream
 from triefusion.trie import PrefixTrie
 from triefusion.vocab import VocabRegistry, tokenize
@@ -41,6 +45,27 @@ def test_cold_start_is_all_bypass():
     decoder = Decoder(DecoderConfig(strategy="odd"))
     records = run_online(stream[:1], trie, provider, decoder, registry, eos_id=eos)
     assert records[0].bypass_steps == len(records[0].steps)
+
+
+def test_each_distinct_pair_scored_once_per_run(monkeypatch):
+    registry, eos, stream, _, provider = _world()
+    calls = Counter()
+
+    def counting(reference, hypothesis):
+        calls[reference, hypothesis] += 1
+        return evaluate_pair(reference, hypothesis)
+
+    monkeypatch.setattr(harness, "evaluate_pair", counting)
+    decoder = Decoder(DecoderConfig(strategy="greedy"))
+    records = run_online(stream, None, provider, decoder, registry, eos_id=eos)
+    pairs = [(r.reference_text, r.hypothesis_text) for r in records]
+    assert len(set(pairs)) < len(pairs)
+    assert calls == Counter(set(pairs))
+    for record, pair in zip(records, pairs):
+        assert record.metrics == evaluate_pair(*pair)
+    # the cache lives for one call: a second pass scores every pair again
+    run_online(stream, None, provider, decoder, registry, eos_id=eos)
+    assert calls == Counter({pair: 2 for pair in set(pairs)})
 
 
 def test_trie_learns_reference_after_insertion():

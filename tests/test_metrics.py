@@ -3,10 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_refs import ref_bleu, ref_chrf, ref_levenshtein, ref_rouge_l
+from metric_refs import (
+    ref_aggregate_with_ci,
+    ref_bleu,
+    ref_chrf,
+    ref_levenshtein,
+    ref_rouge_l,
+)
 from triefusion.errors import EmptyList, EmptyReference
 from triefusion.metrics import (
+    METRIC_FIELDS,
     MetricBundle,
+    _bootstrap_picks,
     aggregate,
     aggregate_with_ci,
     chrf,
@@ -129,6 +137,50 @@ class TestAggregate:
             assert hi >= getattr(means_a, name) - 1e-9
 
 
+def _random_bundles(count, seed):
+    rng = random.Random(seed)
+    return [MetricBundle(*(rng.random() for _ in METRIC_FIELDS)) for _ in range(count)]
+
+
+class TestBootstrapAgainstReference:
+    """The word-block bootstrap reproduces one ``randrange`` per pick exactly.
+
+    Equality also pins the summation order: the reference's builtin ``sum()``
+    adds floats left to right up to CPython 3.11 (3.12 compensates), and the
+    program adds the picks in that same order.
+    """
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 200, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_means_and_intervals_equal(self, count, seed):
+        bundles = _random_bundles(count, seed + count)
+        n_resamples = 1000 if count <= 257 else 150
+        means, intervals = aggregate_with_ci(bundles, n_resamples=n_resamples, seed=seed)
+        ref_means, ref_intervals = ref_aggregate_with_ci(
+            bundles, n_resamples=n_resamples, seed=seed
+        )
+        assert means.as_dict() == ref_means
+        assert intervals == ref_intervals
+
+    def test_repeated_values_equal(self):
+        # few distinct values make many resample means tie at the percentiles
+        bundles = [evaluate_pair("a b c", hyp) for hyp in ("a b c", "a b", "c", "a x c") * 30]
+        for seed in (0, 5):
+            means, intervals = aggregate_with_ci(bundles, seed=seed)
+            ref_means, ref_intervals = ref_aggregate_with_ci(bundles, seed=seed)
+            assert means.as_dict() == ref_means
+            assert intervals == ref_intervals
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 200, 255, 256, 257, 1000, 65537, 70001])
+    def test_picks_equal_randrange(self, count):
+        n_resamples = max(1, 20_000 // count)
+        picks = _bootstrap_picks(random.Random(count), count, n_resamples)
+        rng = random.Random(count)
+        expected = [rng.randrange(count) for _ in range(n_resamples * count)]
+        assert picks.shape == (n_resamples, count)
+        assert picks.ravel().tolist() == expected
+
+
 class TestCosineProxy:
     def test_identity(self):
         assert token_cosine("a b a", "a b a") == pytest.approx(1.0)
@@ -141,6 +193,19 @@ class TestCosineProxy:
 @settings(max_examples=100)
 def test_edit_similarity_symmetry(a, b):
     assert levenshtein(a, b) == levenshtein(b, a)
+
+
+@given(st.text(max_size=150), st.text(max_size=150))
+@settings(max_examples=300)
+def test_levenshtein_matches_reference(a, b):
+    assert levenshtein(a, b) == ref_levenshtein(a, b)
+
+
+@given(st.text(alphabet="ab", min_size=60, max_size=140), st.text(alphabet="ab", max_size=140))
+@settings(max_examples=100)
+def test_levenshtein_matches_reference_past_word_width(a, b):
+    # two-letter text keeps many equal characters on both sides of bit 64
+    assert levenshtein(a, b) == ref_levenshtein(a, b)
 
 
 @given(
