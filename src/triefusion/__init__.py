@@ -24,8 +24,6 @@ from .harness import decode_sequence, run_online, warm_start
 from .lm import ExternalLogitProvider, NGramModel, UniformLogitProvider, train_ngram
 from .metrics import MetricBundle, aggregate, aggregate_with_ci, evaluate_pair
 from .prior import (
-    CandidateSet,
-    RawCandidate,
     ScoringWeights,
     SparseDistribution,
     collect_candidates,
@@ -46,7 +44,6 @@ from .vocab import VocabRegistry, detokenize, tokenize
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "ConceptSpec",
     "Decoder",
     "DecoderConfig",
@@ -57,7 +54,6 @@ __all__ = [
     "MetricBundle",
     "NGramModel",
     "PrefixTrie",
-    "RawCandidate",
     "ScoringWeights",
     "SparseDistribution",
     "StepDiagnostics",

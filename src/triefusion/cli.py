@@ -97,11 +97,18 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 def _number(kind, value, key: str):
-    """``kind(value)`` for a scenario value; a null or a non-number names its key."""
+    """A scenario value as ``kind``: a whole number for ``int``, a finite one for
+    ``float``. Anything else (null, bool, string, fraction, NaN, Infinity) names its key."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"scenario key {key!r} needs a number, got {value!r}") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        number = kind(value)
+        if not math.isfinite(number) or (kind is int and number != value):
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
+        wanted = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"scenario key {key!r} needs {wanted}, got {value!r}") from None
 
 
 def load_scenario(source: str) -> dict:
@@ -553,6 +560,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
     experiment = _experiment_from_args(args)
     settings = _engine_settings(experiment.scenario, args)
+    telemetry = _telemetry(experiment)  # before any output, so a bad window writes none
     provider = build_provider(experiment, args)
     records, trie = execute_strategy(experiment, provider, args.strategy, settings)
     write_results(records, Path(args.out))
@@ -564,7 +572,7 @@ def cmd_run(args) -> int:
     payload = {
         "seed": experiment.seed,
         "strategies": [summary],
-        "telemetry": _telemetry(experiment),
+        "telemetry": telemetry,
     }
     if args.summary:
         write_summary(payload, Path(args.summary))

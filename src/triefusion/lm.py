@@ -83,7 +83,6 @@ class NGramModel(LogitProvider):
         self.smoothing_k = float(smoothing_k)
         self._vocab_size = vocab_size
         self._counts: dict[tuple[TokenId, ...], Counter] = {}
-        self._totals: dict[tuple[TokenId, ...], int] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -99,7 +98,6 @@ class NGramModel(LogitProvider):
             if counter is None:
                 counter = self._counts[context] = Counter()
             counter[token] += 1
-            self._totals[context] = self._totals.get(context, 0) + 1
 
     def _context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
         history = self.order - 1
@@ -148,10 +146,9 @@ class NGramModel(LogitProvider):
             raise ValueError(f"not an ngram-lm/1 file: {path}")
         model = cls(payload["order"], payload["smoothing_k"], payload["vocab_size"])
         for context, pairs in payload["contexts"]:
-            counter = Counter({int(t): int(c) for t, c in pairs})
-            key = tuple(int(t) for t in context)
-            model._counts[key] = counter
-            model._totals[key] = sum(counter.values())
+            model._counts[tuple(int(t) for t in context)] = Counter(
+                {int(t): int(c) for t, c in pairs}
+            )
         return model
 
 
@@ -245,6 +242,8 @@ class ExternalLogitProvider(LogitProvider):
             raise ProviderUnavailable(
                 f"expected {self._vocab_size} logits, got {type(values).__name__}"
             )
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ProviderUnavailable("response logits must all be numbers")
         vector = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(vector)):
             raise ProviderUnavailable("response contains non-finite logits")

@@ -16,9 +16,6 @@ Conventions (also flagged in CLI output headers):
 
 Bootstrap intervals resample with ``random.Random(seed).randrange`` picks
 and add each resample's values left to right, in item order.
-
-A token-frequency cosine is also provided as a cheap lexical overlap proxy;
-it is not an embedding similarity and is never reported as one.
 """
 
 from __future__ import annotations
@@ -157,19 +154,6 @@ def chrf(reference: str, hypothesis: str, max_order: int = 6, beta: float = 2.0)
     if denominator == 0:
         return 0.0
     return 100.0 * (1.0 + beta * beta) * mean_p * mean_r / denominator
-
-
-def token_cosine(reference: str, hypothesis: str) -> float:
-    """Cosine of token frequency vectors; a lexical proxy, nothing semantic."""
-    ref_counts = Counter(reference.split())
-    hyp_counts = Counter(hypothesis.split())
-    if not ref_counts or not hyp_counts:
-        return 0.0
-    dot = sum(count * hyp_counts[token] for token, count in ref_counts.items())
-    norm = math.sqrt(sum(c * c for c in ref_counts.values())) * math.sqrt(
-        sum(c * c for c in hyp_counts.values())
-    )
-    return dot / norm if norm else 0.0
 
 
 def evaluate_pair(reference: str, hypothesis: str) -> MetricBundle:

@@ -1,9 +1,10 @@
 """Turns trie lookups into a scored candidate set and a sparse distribution.
 
-For the current decoding prefix, every suffix of the prefix (longest to
-shortest all get queried) is looked up in the trie; each child of a matched
-path becomes one raw candidate carrying that node's stored features. The
-raw features are then normalized across the whole collected set:
+For the current decoding prefix, every suffix shorter than the trie's n_max
+is looked up in the trie, longest first; each child of a matched path
+becomes one raw ``(token, FeatureTriple)`` candidate carrying that node's
+stored features. The raw features are then normalized across the whole
+collected set:
 
 * frequency is log-damped and divided by the set maximum, so heavy counts
   cannot swamp the other signals;
@@ -23,7 +24,7 @@ among the rest proportionally to their scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyCandidates
@@ -41,42 +42,14 @@ class ScoringWeights:
 
     def __post_init__(self):
         for name in ("frequency", "length", "recency"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # written so that NaN fails too
                 raise ValueError(f"weight {name} must be non-negative")
         total = self.frequency + self.length + self.recency
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights must sum to 1, got {total}")
 
 
 DEFAULT_WEIGHTS = ScoringWeights()
-
-
-@dataclass(frozen=True)
-class RawCandidate:
-    """One (token, matched suffix) pair before deduplication."""
-
-    token: TokenId
-    features: FeatureTriple
-    source_suffix_len: int
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    score: float
-    normalized: tuple[float, float, float]  # (frequency', length', recency')
-
-
-@dataclass
-class CandidateSet:
-    """Deduplicated candidates; per token the best score over all suffixes."""
-
-    entries: dict[TokenId, CandidateScore] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
 
 @dataclass
@@ -88,10 +61,10 @@ class SparseDistribution:
     def __post_init__(self):
         if not self.probs:
             raise ValueError("sparse distribution needs at least one entry")
-        if any(p < 0 for p in self.probs.values()):
+        if not all(p >= 0 for p in self.probs.values()):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
 
     @property
@@ -118,84 +91,79 @@ class SparseDistribution:
         return [token for token, _ in ranked[:k]]
 
 
-def collect_candidates(trie: PrefixTrie, prefix: Sequence[TokenId]) -> list[RawCandidate]:
-    """Union of next-token lookups for every suffix of ``prefix``.
+def collect_candidates(
+    trie: PrefixTrie, prefix: Sequence[TokenId]
+) -> list[tuple[TokenId, FeatureTriple]]:
+    """Union of next-token lookups for every suffix of ``prefix`` shorter than n_max.
 
-    Suffix lengths 1..len(prefix) are each walked once, so the trie work is
-    quadratic in the prefix length and independent of the stored corpus.
+    Longest suffix first, each node's children in insertion order. A suffix
+    of n_max or more tokens always ends at a leaf (paths stop at depth
+    n_max), so each step walks at most n_max - 1 suffixes whatever the
+    prefix length.
     """
     prefix = list(prefix)
     if not prefix:
         raise ValueError("prefix must be non-empty")
-    raw: list[RawCandidate] = []
-    for length in range(len(prefix), 0, -1):
-        suffix = prefix[len(prefix) - length :]
-        for token, features in trie.next_tokens(suffix):
-            raw.append(RawCandidate(token, features, length))
+    raw: list[tuple[TokenId, FeatureTriple]] = []
+    for length in range(min(len(prefix), trie.config.n_max - 1), 0, -1):
+        raw += trie.next_tokens(prefix[len(prefix) - length :])
     return raw
 
 
 def score_candidates(
-    raw: Sequence[RawCandidate],
+    raw: Sequence[tuple[TokenId, FeatureTriple]],
     prefix_len: int,
     now: float,
     weights: ScoringWeights = DEFAULT_WEIGHTS,
-) -> CandidateSet:
-    """Two passes: normalize features across the full raw set, then score.
+) -> dict[TokenId, float]:
+    """Token -> best score over its raw entries, in first-seen token order.
 
-    Normalizing inside the collection loop would divide by a maximum that is
-    still moving, so the maxima are taken only after everything is gathered.
+    Two passes: the maxima are taken only after everything is gathered, as
+    normalizing inside the collection loop would divide by a moving maximum.
     """
     if not raw:
         raise EmptyCandidates("no raw candidates to score")
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
 
-    damped = [math.log1p(cand.features.frequency) for cand in raw]
+    damped = [math.log1p(features.frequency) for _, features in raw]
     damped_max = max(damped)
-    gaps = [now - cand.features.recency for cand in raw]
+    gaps = [now - features.recency for _, features in raw]
     gap_base = min(gaps)
     shifted = [gap - gap_base for gap in gaps]
     gap_max = max(shifted)
 
-    best: dict[TokenId, CandidateScore] = {}
-    for cand, freq_damped, gap in zip(raw, damped, shifted):
-        freq_norm = freq_damped / damped_max
-        len_norm = min(1.0, cand.features.depth / prefix_len)
-        rec_norm = 1.0 if gap_max == 0 else math.exp(-gap / gap_max)
+    best: dict[TokenId, float] = {}
+    for (token, features), freq_damped, gap in zip(raw, damped, shifted):
         score = (
-            weights.frequency * freq_norm
-            + weights.length * len_norm
-            + weights.recency * rec_norm
+            weights.frequency * (freq_damped / damped_max)
+            + weights.length * min(1.0, features.depth / prefix_len)
+            + weights.recency * (1.0 if gap_max == 0 else math.exp(-gap / gap_max))
         )
-        current = best.get(cand.token)
-        if current is None or score > current.score:
-            best[cand.token] = CandidateScore(score, (freq_norm, len_norm, rec_norm))
-    return CandidateSet(entries=best)
+        current = best.get(token)
+        if current is None or score > current:
+            best[token] = score
+    return best
 
 
-def top_preserving_distribution(candidates: CandidateSet) -> SparseDistribution:
+def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribution:
     """Keep the best score as the winner's probability, share the rest.
 
     The winner (ties broken toward the smallest token id) gets exactly its
     score; the remaining 1 - score mass is split among the other candidates
     proportionally to their scores. A single candidate takes all the mass.
     """
-    if not candidates:
+    if not scores:
         raise EmptyCandidates("cannot normalize an empty candidate set")
-    entries = candidates.entries
-    score_max = max(entry.score for entry in entries.values())
-    winner = min(token for token, entry in entries.items() if entry.score == score_max)
-    if len(entries) == 1:
+    score_max = max(scores.values())
+    winner = min(token for token, score in scores.items() if score == score_max)
+    if len(scores) == 1:
         return SparseDistribution({winner: 1.0})
-    rest_total = sum(entry.score for token, entry in entries.items() if token != winner)
-    probs: dict[TokenId, float] = {}
-    for token in sorted(entries):
-        if token == winner:
-            probs[token] = score_max
-        else:
-            probs[token] = (1.0 - score_max) * entries[token].score / rest_total
-    return SparseDistribution(probs)
+    rest_total = sum(score for token, score in scores.items() if token != winner)
+    return SparseDistribution({
+        token: score_max if token == winner else (1.0 - score_max) * scores[token] / rest_total
+        for token in sorted(scores)
+    })
 
 
 def trie_prior(

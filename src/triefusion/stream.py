@@ -165,6 +165,8 @@ def generate_stream(
         raise ValueError("stream length must be >= 1")
     if not timestamp_step > 0:
         raise ValueError("timestamp_step must be > 0")
+    if not math.isfinite(length * timestamp_step):
+        raise ValueError(f"timestamp_step {timestamp_step} overflows over {length} items")
     rng = Random(schedule.seed)
     items: list[StreamItem] = []
     for index in range(length):

@@ -71,12 +71,7 @@ def _random_prior(rng, vocab):
     support_size = int(rng.integers(1, min(7, vocab) + 1))
     support = sorted(rng.choice(vocab, size=support_size, replace=False))
     scores = rng.uniform(0.05, 1.0, size=support_size)
-    from triefusion.prior import CandidateScore, CandidateSet
-
-    candidate_set = CandidateSet(
-        {int(t): CandidateScore(float(s), (1.0, 1.0, 1.0)) for t, s in zip(support, scores)}
-    )
-    return top_preserving_distribution(candidate_set)
+    return top_preserving_distribution({int(t): float(s) for t, s in zip(support, scores)})
 
 
 def test_criterion_1_distribution_validity():
@@ -154,16 +149,17 @@ def test_criterion_3_oracle_equivalence():
             prefix = [rng.randrange(vocab) for _ in range(rng.randrange(1, 7))]
             raw = collect_candidates(trie, prefix)
             expected_raw = scan.candidates(prefix)
-            assert {(c.token, c.source_suffix_len) for c in raw} == {
+            # a candidate one token past a suffix of length s sits at depth s + 1
+            assert {(token, features.depth - 1) for token, features in raw} == {
                 (t, s) for t, _, _, _, s in expected_raw
             }
             if not raw:
                 continue
             scored = score_candidates(raw, len(prefix), now)
             expected_scores = bf_scores(expected_raw, len(prefix), now)
-            assert set(scored.entries) == set(expected_scores)
-            for token, entry in scored.entries.items():
-                assert abs(entry.score - expected_scores[token]) <= 1e-12
+            assert set(scored) == set(expected_scores)
+            for token, score in scored.items():
+                assert abs(score - expected_scores[token]) <= 1e-12
             distribution = top_preserving_distribution(scored)
             expected_dist = bf_top_preserving(expected_scores)
             assert set(distribution.probs) == set(expected_dist)

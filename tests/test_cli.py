@@ -433,6 +433,40 @@ class TestSettingsTable:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+        ("engine.top_k", 2.7),
+        ("engine.n_max", 3.9),
+        ("engine.max_new_tokens", False),
+        ("engine.fixed_temperature", float("nan")),
+        ("engine.continuity_scale", float("inf")),
+        ("engine.weights.frequency", True),
+        ("base_lm.smoothing_k", float("-inf")),
+        ("warmup.sentences", 2.5),
+        ("timestamp_step", float("inf")),
+        ("timestamp_step", 1e308),
+        ("telemetry_window", True),
+    ])
+    def test_bad_scenario_number_is_config_error(self, tmp_path, small_scenario, capsys,
+                                                 key, value):
+        # integers must be whole, reals finite, and neither may be a bool or a string
+        scenario = json.loads(small_scenario.read_text())
+        *sections, leaf = key.split(".")
+        node = scenario
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("schedule, key", [
         ({"kind": "abrupt", "switch_points": None}, "schedule.switch_points"),
         ({"kind": "abrupt", "switch_points": [None]}, "schedule.switch_points[0]"),
@@ -451,6 +485,15 @@ class TestSettingsTable:
         out = tmp_path / "s.jsonl"
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
         assert f"scenario key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0"])
+    def test_non_finite_weights_flag_is_config_error(self, tmp_path, small_scenario, capsys,
+                                                     weights):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--weights", weights,
+                     "--out", str(out)]) == 2
+        assert "weight" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_n_max_rejected_for_baselines_too(self, tmp_path, small_scenario):

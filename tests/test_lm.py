@@ -161,6 +161,15 @@ class TestExternalProtocol:
         with pytest.raises(ProviderUnavailable):
             provider.logits([0])
 
+    @pytest.mark.parametrize("logits", [[0.0, "x", 2.0], [0.0, [1.0], 2.0], [0.0, True, 2.0]])
+    def test_non_number_elements(self, logits):
+        reader, writer = _stub_server(
+            [json.dumps({"protocol": PROTOCOL_VERSION}), json.dumps({"logits": logits})]
+        )
+        provider = ExternalLogitProvider(reader, writer, vocab_size=3)
+        with pytest.raises(ProviderUnavailable):
+            provider.logits([0])
+
     def test_closed_stream(self):
         reader, writer = _stub_server([json.dumps({"protocol": PROTOCOL_VERSION})])
         provider = ExternalLogitProvider(reader, writer, vocab_size=3)

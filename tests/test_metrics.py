@@ -22,7 +22,6 @@ from triefusion.metrics import (
     levenshtein,
     rouge_l,
     sentence_bleu,
-    token_cosine,
 )
 
 
@@ -179,14 +178,6 @@ class TestBootstrapAgainstReference:
         expected = [rng.randrange(count) for _ in range(n_resamples * count)]
         assert picks.shape == (n_resamples, count)
         assert picks.ravel().tolist() == expected
-
-
-class TestCosineProxy:
-    def test_identity(self):
-        assert token_cosine("a b a", "a b a") == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        assert token_cosine("a b", "c d") == 0.0
 
 
 @given(st.text(alphabet="abc ", max_size=12), st.text(alphabet="abc ", max_size=12))

@@ -4,13 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prior_ref
 from bruteforce import NgramScan, bf_scores, bf_top_preserving
 from conftest import T_NEW
 from triefusion.errors import EmptyCandidates
 from triefusion.prior import (
-    CandidateScore,
-    CandidateSet,
-    RawCandidate,
     ScoringWeights,
     SparseDistribution,
     collect_candidates,
@@ -22,10 +20,18 @@ from triefusion.trie import FeatureTriple, PrefixTrie
 from triefusion.vocab import tokenize
 
 THIRD = ScoringWeights()
+# under a one-hot weighting a score is exactly that one normalized feature
+ONE_HOT = (ScoringWeights(1, 0, 0), ScoringWeights(0, 1, 0), ScoringWeights(0, 0, 1))
+LENGTH_ONLY = ONE_HOT[1]
 
 
-def _raw(token, freq, depth, recency, suffix_len=1):
-    return RawCandidate(token, FeatureTriple(freq, depth, recency), suffix_len)
+def _raw(token, freq, depth, recency):
+    return (token, FeatureTriple(freq, depth, recency))
+
+
+def _suffix_lens(raw):
+    """(token, matched suffix length): a child one past a suffix of length s has depth s + 1."""
+    return {(token, features.depth - 1) for token, features in raw}
 
 
 class TestWeights:
@@ -40,6 +46,14 @@ class TestWeights:
     def test_defaults(self):
         assert math.isclose(THIRD.frequency + THIRD.length + THIRD.recency, 1.0)
 
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.0, 0.0, math.nan),
+        (math.inf, 0.0, 0.0),
+    ])
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(ValueError):
+            ScoringWeights(*weights)
+
 
 class TestCollect:
     def test_figure_prefix(self, two_sentence_world):
@@ -47,16 +61,16 @@ class TestCollect:
         prefix = tokenize("activate your plan", registry)
         raw = collect_candidates(trie, prefix)
         # every suffix length matches and contributes both continuations
-        assert {(c.token, c.source_suffix_len) for c in raw} == {
+        assert _suffix_lens(raw) == {
             (registry.id_of(v), length) for v in ("4G", "5G") for length in (1, 2, 3)
         }
 
     def test_shorter_prefix(self, two_sentence_world):
         registry, trie = two_sentence_world
         raw = collect_candidates(trie, tokenize("your plan", registry))
-        by_len = {(c.token, c.source_suffix_len): c.features.depth for c in raw}
-        assert by_len[(registry.id_of("4G"), 2)] == 3  # via the your->plan path
-        assert by_len[(registry.id_of("5G"), 2)] == 3
+        depths = {(token, features.depth) for token, features in raw}
+        assert (registry.id_of("4G"), 3) in depths  # via the your->plan path
+        assert (registry.id_of("5G"), 3) in depths
 
     def test_unseen_prefix(self, two_sentence_world):
         _, trie = two_sentence_world
@@ -67,54 +81,77 @@ class TestCollect:
         with pytest.raises(ValueError):
             collect_candidates(trie, [])
 
+    def test_walks_only_suffixes_shorter_than_n_max(self, monkeypatch):
+        trie = PrefixTrie(n_max=3)
+        walked = []
+        monkeypatch.setattr(trie, "next_tokens",
+                            lambda suffix: walked.append(len(suffix)) or [])
+        collect_candidates(trie, [0] * 20)
+        assert walked == [2, 1]
+
+    def test_long_prefix_matches_uncapped_walk(self):
+        trie = PrefixTrie(n_max=3)
+        trie.insert_sequence([0] * 8, 1.0)
+        trie.insert_sequence([1, 0, 0, 2], 2.0)
+        prefix = [1, 0, 0, 0, 0]
+        assert collect_candidates(trie, prefix) == [
+            (token, features)
+            for length in range(len(prefix), 0, -1)
+            for token, features in trie.next_tokens(prefix[-length:])
+        ]
+
 
 class TestScore:
     def test_figure_scores(self, two_sentence_world):
         registry, trie = two_sentence_world
         prefix = tokenize("activate your plan", registry)
-        scored = score_candidates(collect_candidates(trie, prefix), len(prefix), T_NEW, THIRD)
-        new = scored.entries[registry.id_of("5G")]
-        old = scored.entries[registry.id_of("4G")]
-        assert new.score == pytest.approx(1.0, abs=1e-12)
+        raw = collect_candidates(trie, prefix)
+        scored = score_candidates(raw, len(prefix), T_NEW, THIRD)
+        new = scored[registry.id_of("5G")]
+        old = scored[registry.id_of("4G")]
+        assert new == pytest.approx(1.0, abs=1e-12)
         # frequency and clamped length pin at 1; recency decays one gap unit
-        assert old.score == pytest.approx((2.0 + math.exp(-1)) / 3.0, abs=1e-12)
-        assert old.normalized == pytest.approx((1.0, 1.0, math.exp(-1)))
+        assert old == pytest.approx((2.0 + math.exp(-1)) / 3.0, abs=1e-12)
+        old_parts = [score_candidates(raw, len(prefix), T_NEW, w)[registry.id_of("4G")]
+                     for w in ONE_HOT]
+        assert old_parts == pytest.approx([1.0, 1.0, math.exp(-1)])
 
     def test_single_candidate_degenerate_normalizers(self):
-        scored = score_candidates([_raw(5, 3, 2, 100.0)], 4, 250.0, THIRD)
-        entry = scored.entries[5]
-        assert entry.normalized == (1.0, 0.5, 1.0)  # gap shift makes it freshest
-        assert 0.0 < entry.score <= 1.0
+        raw = [_raw(5, 3, 2, 100.0)]
+        parts = [score_candidates(raw, 4, 250.0, w)[5] for w in ONE_HOT]
+        assert parts == [1.0, 0.5, 1.0]  # gap shift makes it freshest
+        assert 0.0 < score_candidates(raw, 4, 250.0, THIRD)[5] <= 1.0
 
     def test_identical_features_tie(self):
         raw = [_raw(1, 2, 2, 50.0), _raw(2, 2, 2, 50.0)]
         scored = score_candidates(raw, 3, 60.0, THIRD)
-        assert scored.entries[1].score == scored.entries[2].score
+        assert scored[1] == scored[2]
 
     def test_dedup_keeps_best_suffix(self):
         # same token via two suffixes: the higher-scoring entry survives
         raw = [
-            _raw(7, 5, 4, 100.0, suffix_len=3),
-            _raw(7, 5, 1, 100.0, suffix_len=1),
-            _raw(8, 2, 4, 60.0, suffix_len=3),
+            _raw(7, 5, 4, 100.0),
+            _raw(7, 5, 1, 100.0),
+            _raw(8, 2, 4, 60.0),
         ]
         scored = score_candidates(raw, 4, 100.0, THIRD)
-        assert scored.entries[7].normalized[1] == 1.0  # depth 4 of 4, not 1 of 4
+        assert score_candidates(raw, 4, 100.0, LENGTH_ONLY)[7] == 1.0  # depth 4 of 4
         deep_only = score_candidates([raw[0], raw[2]], 4, 100.0, THIRD)
-        assert scored.entries[7].score == pytest.approx(deep_only.entries[7].score)
+        assert scored[7] == pytest.approx(deep_only[7])
+        assert list(scored) == [7, 8]  # first-seen token order
 
     def test_empty_raw_rejected(self):
         with pytest.raises(EmptyCandidates):
             score_candidates([], 3, 10.0, THIRD)
 
     def test_length_clamped_at_one(self):
-        scored = score_candidates([_raw(1, 1, 9, 5.0)], 2, 9.0, THIRD)
-        assert scored.entries[1].normalized[1] == 1.0
+        scored = score_candidates([_raw(1, 1, 9, 5.0)], 2, 9.0, LENGTH_ONLY)
+        assert scored[1] == 1.0
 
     def test_score_monotone_in_frequency(self):
         low = score_candidates([_raw(1, 2, 2, 5.0), _raw(2, 9, 2, 5.0)], 3, 9.0, THIRD)
         high = score_candidates([_raw(1, 5, 2, 5.0), _raw(2, 9, 2, 5.0)], 3, 9.0, THIRD)
-        assert high.entries[1].score >= low.entries[1].score
+        assert high[1] >= low[1]
 
     def test_recency_shift_invariance(self):
         raw = [_raw(1, 2, 2, 50.0), _raw(2, 4, 2, 980.0)]
@@ -122,39 +159,36 @@ class TestScore:
         a = score_candidates(raw, 3, 1000.0, THIRD)
         b = score_candidates(moved, 3, 1123.0, THIRD)
         for token in (1, 2):
-            assert a.entries[token].score == pytest.approx(b.entries[token].score, abs=1e-12)
+            assert a[token] == pytest.approx(b[token], abs=1e-12)
 
 
 class TestTopPreserving:
-    def _set(self, scores):
-        return CandidateSet({t: CandidateScore(s, (1, 1, 1)) for t, s in scores.items()})
-
     def test_three_way_split(self):
-        dist = top_preserving_distribution(self._set({0: 0.9, 1: 0.6, 2: 0.3}))
+        dist = top_preserving_distribution({0: 0.9, 1: 0.6, 2: 0.3})
         assert dist.probs[0] == pytest.approx(0.9)
         assert dist.probs[1] == pytest.approx(0.1 * 0.6 / 0.9)
         assert dist.probs[2] == pytest.approx(0.1 * 0.3 / 0.9)
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_candidate_takes_all(self):
-        dist = top_preserving_distribution(self._set({7: 0.7}))
+        dist = top_preserving_distribution({7: 0.7})
         assert dist.probs == {7: 1.0}
 
     def test_saturated_winner_collapses_rest(self):
-        dist = top_preserving_distribution(self._set({0: 1.0, 1: 1.0}))
+        dist = top_preserving_distribution({0: 1.0, 1: 1.0})
         assert dist.probs == {0: 1.0, 1: 0.0}
 
     def test_tie_breaks_to_smallest_id(self):
-        dist = top_preserving_distribution(self._set({4: 0.8, 2: 0.8, 9: 0.2}))
+        dist = top_preserving_distribution({4: 0.8, 2: 0.8, 9: 0.2})
         assert dist.argmax_token() == 2
         assert dist.probs[2] == pytest.approx(0.8)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCandidates):
-            top_preserving_distribution(CandidateSet({}))
+            top_preserving_distribution({})
 
     def test_max_prob_is_top_score(self):
-        dist = top_preserving_distribution(self._set({0: 0.55, 1: 0.4}))
+        dist = top_preserving_distribution({0: 0.55, 1: 0.4})
         assert dist.max_prob() == pytest.approx(0.55)
 
 
@@ -166,6 +200,12 @@ class TestSparseDistribution:
             SparseDistribution({0: 0.7})
         with pytest.raises(ValueError):
             SparseDistribution({0: 1.5, 1: -0.5})
+
+    @pytest.mark.parametrize("probs", [{0: math.nan, 1: 0.5}, {0: 1.0, 1: math.nan},
+                                       {0: math.nan}])
+    def test_nan_rejected(self, probs):
+        with pytest.raises(ValueError):
+            SparseDistribution(probs)
 
     def test_top_tokens_skips_zero_mass(self):
         dist = SparseDistribution({0: 1.0, 1: 0.0})
@@ -190,16 +230,14 @@ class TestPipelineOracle:
             prefix = [rng.randrange(9) for _ in range(rng.randrange(1, 6))]
             raw = collect_candidates(trie, prefix)
             expected_raw = scan.candidates(prefix)
-            assert {(c.token, c.source_suffix_len) for c in raw} == {
-                (t, s) for t, _, _, _, s in expected_raw
-            }
+            assert _suffix_lens(raw) == {(t, s) for t, _, _, _, s in expected_raw}
             if not raw:
                 continue
             mine = score_candidates(raw, len(prefix), now, THIRD)
             theirs = bf_scores(expected_raw, len(prefix), now)
-            assert set(mine.entries) == set(theirs)
-            for token, entry in mine.entries.items():
-                assert entry.score == pytest.approx(theirs[token], abs=1e-12)
+            assert set(mine) == set(theirs)
+            for token, score in mine.items():
+                assert score == pytest.approx(theirs[token], abs=1e-12)
             dist = top_preserving_distribution(mine)
             expected_dist = bf_top_preserving(theirs)
             assert set(dist.probs) == set(expected_dist)
@@ -215,7 +253,6 @@ class TestPipelineOracle:
             st.integers(min_value=1, max_value=10_000),  # frequency
             st.integers(min_value=1, max_value=9),  # depth
             st.floats(min_value=1.0, max_value=1e6),  # recency
-            st.integers(min_value=1, max_value=8),  # suffix length
         ),
         min_size=1,
         max_size=15,
@@ -225,13 +262,11 @@ class TestPipelineOracle:
 )
 @settings(max_examples=120)
 def test_scores_stay_in_unit_interval(rows, prefix_len, now_offset):
-    raw = [_raw(token, freq, depth, rec, s) for token, freq, depth, rec, s in rows]
-    now = max(r.features.recency for r in raw) + now_offset
-    scored = score_candidates(raw, prefix_len, now, THIRD)
-    for entry in scored.entries.values():
-        assert 0.0 < entry.score <= 1.0
-        for component in entry.normalized:
-            assert 0.0 < component <= 1.0
+    raw = [_raw(*row) for row in rows]
+    now = max(features.recency for _, features in raw) + now_offset
+    for weights in (THIRD, *ONE_HOT):
+        for score in score_candidates(raw, prefix_len, now, weights).values():
+            assert 0.0 < score <= 1.0
 
 
 @given(
@@ -244,8 +279,7 @@ def test_scores_stay_in_unit_interval(rows, prefix_len, now_offset):
 )
 @settings(max_examples=80)
 def test_top_preserving_properties(scores):
-    candidate_set = CandidateSet({t: CandidateScore(s, (1, 1, 1)) for t, s in scores.items()})
-    dist = top_preserving_distribution(candidate_set)
+    dist = top_preserving_distribution(scores)
     assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
     peak = max(scores.values())
     winner = min(t for t, s in scores.items() if s == peak)
@@ -257,3 +291,41 @@ def test_top_preserving_properties(scores):
         assert dist.probs[winner] == pytest.approx(peak, abs=1e-12)
         if peak >= 0.5:
             assert dist.max_prob() == pytest.approx(peak, abs=1e-12)
+
+
+@st.composite
+def _prior_world(draw):
+    """A trie (fresh and restored from its snapshot), prefixes up to 3 * n_max, weights."""
+    n_max = draw(st.integers(min_value=2, max_value=7))
+    vocab = draw(st.integers(min_value=2, max_value=8))
+    token = st.integers(min_value=0, max_value=vocab - 1)
+    trie = PrefixTrie(n_max=n_max)
+    stamp = 0.0
+    for gap, seq in draw(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=50.0),
+                  st.lists(token, min_size=1, max_size=3 * n_max)),
+        min_size=1, max_size=12,
+    )):
+        stamp = max(stamp + gap, 1.0)
+        trie.insert_sequence(seq, stamp)
+    prefixes = draw(st.lists(st.lists(token, min_size=1, max_size=3 * n_max),
+                             min_size=1, max_size=6))
+    now = stamp + draw(st.floats(min_value=0.0, max_value=100.0))
+    frequency = draw(st.floats(min_value=0.0, max_value=0.5))
+    length = draw(st.floats(min_value=0.0, max_value=0.5))
+    weights = ScoringWeights(frequency, length, 1.0 - frequency - length)
+    return trie, PrefixTrie.restore(trie.snapshot()), prefixes, now, weights
+
+
+@given(_prior_world())
+@settings(max_examples=150, deadline=None)
+def test_pipeline_equals_reference(world):
+    trie, restored, prefixes, now, weights = world
+    for prefix in prefixes:
+        expected = prior_ref.trie_prior(trie, prefix, now, weights)
+        for served in (trie, restored):
+            got = trie_prior(served, prefix, now, weights)
+            if expected is None:
+                assert got is None
+            else:
+                assert list(got.probs.items()) == list(expected.probs.items())
