@@ -10,7 +10,6 @@ from .errors import TrieFusionError
 from .fusion import (
     Decoder,
     DecoderConfig,
-    FusionState,
     StepDiagnostics,
     adjust_confidences,
     calibrate_temperature,
@@ -50,7 +49,6 @@ __all__ = [
     "DriftSchedule",
     "ExternalLogitProvider",
     "FeatureTriple",
-    "FusionState",
     "MetricBundle",
     "NGramModel",
     "PrefixTrie",

@@ -96,19 +96,37 @@ def builtin_scenario_path(name: str) -> Path:
     return Path(str(packaged))
 
 
-def _number(kind, value, key: str):
-    """A scenario value as ``kind``: a whole number for ``int``, a finite one for
-    ``float``. Anything else (null, bool, string, fraction, NaN, Infinity) names its key."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError
-        number = kind(value)
-        if not math.isfinite(number) or (kind is int and number != value):
-            raise ValueError
-        return number
-    except (TypeError, ValueError, OverflowError):
-        wanted = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"scenario key {key!r} needs {wanted}, got {value!r}") from None
+_WANTED = {int: "an integer", float: "a finite number", dict: "an object", list: "a list",
+           str: "a string", bool: "true or false"}
+
+
+def _typed(kind, value, key, where: str = "scenario key"):
+    """``value`` as JSON ``kind`` (an ``int`` whole, a ``float`` finite, neither a bool),
+    else a config error naming ``where`` and ``key``. Null is never accepted."""
+    if kind in (int, float):
+        try:
+            if not isinstance(value, bool) and isinstance(value, (int, float)):
+                number = kind(value)
+                if math.isfinite(number) and (kind is float or number == value):
+                    return number
+        except (ValueError, OverflowError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"{where} {key!r} needs {_WANTED[kind]}, got {value!r}")
+
+
+def _items(kind, value, key: str, where: str = "scenario key") -> tuple:
+    """``_typed`` over each entry of a list; anything but a list names its key."""
+    return tuple(
+        _typed(kind, item, f"{key}[{i}]", where)
+        for i, item in enumerate(_typed(list, value, key, where))
+    )
+
+
+def _section(scenario: dict, key: str) -> dict:
+    """A scenario object such as ``engine``: empty when absent, else it must be an object."""
+    return _typed(dict, scenario.get(key, {}), key)
 
 
 def load_scenario(source: str) -> dict:
@@ -117,49 +135,44 @@ def load_scenario(source: str) -> dict:
     else:
         path = Path(source)
     with open(path, encoding="utf-8") as fh:
-        scenario = json.load(fh)
+        scenario = _typed(dict, json.load(fh), source, "scenario file")
     for key in ("templates", "concepts", "schedule", "length", "seed"):
         if key not in scenario:
             raise ValueError(f"scenario is missing the {key!r} key")
     return scenario
 
 
-def _parse_concepts(scenario: dict) -> list[ConceptSpec]:
-    return [
-        ConceptSpec(entry["id"], dict(entry["substitutions"]))
-        for entry in scenario["concepts"]
-    ]
-
-
-def _numbers(kind, value, key: str) -> tuple:
-    """``_number`` over a scenario list; anything but a list names its key."""
-    if not isinstance(value, list):
-        raise ValueError(f"scenario key {key!r} needs a list, got {value!r}")
-    return tuple(_number(kind, item, f"{key}[{i}]") for i, item in enumerate(value))
+def _parse_concepts(scenario: dict) -> tuple[ConceptSpec, ...]:
+    concepts = []
+    for i, entry in enumerate(_items(dict, scenario["concepts"], "concepts")):
+        key = f"concepts[{i}]"
+        substitutions = _typed(dict, entry["substitutions"], f"{key}.substitutions")
+        for name, value in substitutions.items():
+            _typed(str, value, f"{key}.substitutions.{name}")
+        concepts.append(ConceptSpec(_typed(str, entry["id"], f"{key}.id"), dict(substitutions)))
+    return tuple(concepts)
 
 
 def _parse_schedule(scenario: dict, seed: int) -> DriftSchedule:
-    raw = scenario["schedule"]
-    if not isinstance(raw, dict):
-        raise ValueError(f"scenario key 'schedule' needs an object, got {raw!r}")
+    raw = _typed(dict, scenario["schedule"], "schedule")
     kind = raw.get("kind", "abrupt")
     ramp: tuple[float, ...] = ()
     if "ramp" in raw:
         ramp_spec = raw["ramp"]
         if isinstance(ramp_spec, dict):
-            length = _number(int, scenario["length"], "length")
-            start = _number(float, ramp_spec["start"], "schedule.ramp.start")
-            end = _number(float, ramp_spec["end"], "schedule.ramp.end")
+            length = _typed(int, scenario["length"], "length")
+            start = _typed(float, ramp_spec["start"], "schedule.ramp.start")
+            end = _typed(float, ramp_spec["end"], "schedule.ramp.end")
             if length == 1:
                 ramp = (end,)
             else:
                 ramp = tuple(start + (end - start) * i / (length - 1) for i in range(length))
         else:
-            ramp = _numbers(float, ramp_spec, "schedule.ramp")
+            ramp = _items(float, ramp_spec, "schedule.ramp")
     return DriftSchedule(
         kind=kind,
-        concepts=tuple(_parse_concepts(scenario)),
-        switch_points=_numbers(int, raw.get("switch_points", []), "schedule.switch_points"),
+        concepts=_parse_concepts(scenario),
+        switch_points=_items(int, raw.get("switch_points", []), "schedule.switch_points"),
         mixing_ramp=ramp,
         seed=seed,
     )
@@ -183,15 +196,15 @@ class Experiment:
 
 
 def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: int) -> list[str]:
-    warm = scenario.get("warmup") or {}
-    count = _number(int, warm.get("sentences", 0), "warmup.sentences")
+    warm = _section(scenario, "warmup")
+    count = _typed(int, warm.get("sentences", 0), "warmup.sentences")
     if count == 0:
         return []
-    concept_id = warm.get("concept", concepts[0].concept_id)
+    concept_id = _typed(str, warm.get("concept", concepts[0].concept_id), "warmup.concept")
     by_id = {c.concept_id: c for c in concepts}
     if concept_id not in by_id:
         raise ValueError(f"warmup concept {concept_id!r} not declared")
-    templates = scenario["templates"]
+    templates = _items(str, scenario["templates"], "templates")
     rng = Random(f"{seed}/warmup")
     return [
         render_template(templates[rng.randrange(len(templates))], by_id[concept_id])
@@ -199,13 +212,22 @@ def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: i
     ]
 
 
-def _stream_item(row: dict, registry: VocabRegistry, previous_timestamp: float) -> StreamItem:
-    """One stream-file row, rejected up front if decoding would fail on or mis-score it."""
-    ids = tuple(tokenize(row["reference"], registry, grow=True))
-    prompt_len = int(row["prompt_len"])
-    spans = tuple(PlaceholderSpan(n, int(s), int(e), v) for n, s, e, v in row["spans"])
-    timestamp = float(row["timestamp"])
-    where = f"stream item {row['index']}"
+def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -> StreamItem:
+    """Row ``position`` of a stream file, rejected if decoding would fail on or mis-score it."""
+    where = f"stream item {position}"
+    row = _typed(dict, row, position, "stream item")
+    reference = _typed(str, row["reference"], "reference", where)
+    ids = tuple(tokenize(reference, registry, grow=True))
+    prompt_len = _typed(int, row["prompt_len"], "prompt_len", where)
+    spans = []
+    for i, span in enumerate(_items(list, row["spans"], "spans", where)):
+        if len(span) != 4:
+            raise ValueError(f"{where} 'spans[{i}]' needs [name, start, end, value], got {span!r}")
+        spans.append(PlaceholderSpan(*(
+            _typed(kind, part, f"spans[{i}][{j}]", where)
+            for j, (kind, part) in enumerate(zip((str, int, int, str), span))
+        )))
+    timestamp = _typed(float, row["timestamp"], "timestamp", where)
     for span in spans:
         if not 0 <= span.start < span.end <= len(ids):
             raise ValueError(
@@ -215,20 +237,20 @@ def _stream_item(row: dict, registry: VocabRegistry, previous_timestamp: float) 
     first_span = min((span.start for span in spans), default=len(ids))
     if not 0 <= prompt_len <= first_span:
         raise ValueError(f"{where}: prompt_len {prompt_len} is not within [0, {first_span}]")
-    if not (math.isfinite(timestamp) and timestamp > 0 and timestamp >= previous_timestamp):
+    if not (timestamp > 0 and timestamp >= previous):
         raise ValueError(
-            f"{where}: timestamp {timestamp!r} must be finite, > 0 and "
-            f"not before the previous item's {previous_timestamp}"
+            f"{where}: timestamp {timestamp!r} must be > 0 and "
+            f"not before the previous item's {previous}"
         )
     return StreamItem(
-        index=int(row["index"]),
+        index=_typed(int, row["index"], "index", where),
         prompt=ids[:prompt_len],
         reference=ids,
         timestamp=timestamp,
-        concept_id=row["concept"],
-        prompt_text=" ".join(row["reference"].split()[:prompt_len]),
-        reference_text=" ".join(row["reference"].split()),
-        spans=spans,
+        concept_id=_typed(str, row["concept"], "concept", where),
+        prompt_text=" ".join(reference.split()[:prompt_len]),
+        reference_text=" ".join(reference.split()),
+        spans=tuple(spans),
     )
 
 
@@ -243,29 +265,31 @@ def build_experiment(
     index order, so rebuilding from a stream file lands on the same id
     space as generating directly from the scenario.
     """
-    seed = _number(int, scenario["seed"], "seed") if seed_override is None else seed_override
+    seed = _typed(int, scenario["seed"], "seed") if seed_override is None else seed_override
     # the scenario carried forward (e.g. into stream-file headers) must
     # reflect the seed actually used
     scenario = {**scenario, "seed": seed}
     registry = VocabRegistry()
-    eos_id = registry.add(scenario.get("eos", "</s>"))
-    concepts = _parse_concepts(scenario)
-    warmup_texts = _build_warmup_texts(scenario, concepts, seed)
-    warmup_corpus = [tokenize(text, registry, grow=True) + [eos_id] for text in warmup_texts]
+    eos_id = registry.add(_typed(str, scenario.get("eos", "</s>"), "eos"))
     schedule = _parse_schedule(scenario, seed)
-    timestamp_step = _number(
+    warmup_texts = _build_warmup_texts(scenario, schedule.concepts, seed)
+    warmup_corpus = [tokenize(text, registry, grow=True) + [eos_id] for text in warmup_texts]
+    timestamp_step = _typed(
         float, scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP), "timestamp_step"
     )
 
     if stream_items is None:
-        length = _number(int, scenario["length"], "length")
-        stream = generate_stream(scenario["templates"], schedule, length, registry, timestamp_step)
+        length = _typed(int, scenario["length"], "length")
+        templates = _items(str, scenario["templates"], "templates")
+        stream = generate_stream(templates, schedule, length, registry, timestamp_step)
     else:
         stream = []
-        for row in stream_items:
-            stream.append(_stream_item(row, registry, stream[-1].timestamp if stream else 0.0))
+        for position, row in enumerate(stream_items):
+            previous = stream[-1].timestamp if stream else 0.0
+            stream.append(_stream_item(position, row, registry, previous))
 
-    warm = scenario.get("warmup") or {}
+    warm = _section(scenario, "warmup")
+    into_trie = _typed(bool, warm.get("insert_into_trie", True), "warmup.insert_into_trie")
     return Experiment(
         scenario=scenario,
         seed=seed,
@@ -274,7 +298,7 @@ def build_experiment(
         schedule=schedule,
         stream=stream,
         warmup_corpus=warmup_corpus,
-        warmup_into_trie=bool(warm.get("insert_into_trie", True)),
+        warmup_into_trie=into_trie,
         timestamp_step=timestamp_step,
     )
 
@@ -302,22 +326,25 @@ def _flag_or(args, name: str, fallback):
 
 
 def _setting(scenario: dict, args, name: str):
+    """A flag's value, named as the flag, else the scenario's, named by its key."""
     section, kind, default, _ = SETTINGS[name]
-    value = _flag_or(args, name, (scenario.get(section) or {}).get(name, default))
-    return _number(kind, value, f"{section}.{name}")
+    flag = getattr(args, name, None)
+    if flag is not None:
+        return _typed(kind, flag, "--" + name.replace("_", "-"), "flag")
+    return _typed(kind, _section(scenario, section).get(name, default), f"{section}.{name}")
 
 
 def _engine_settings(scenario: dict, args) -> dict:
-    engine = scenario.get("engine") or {}
-    weight_spec = engine.get("weights") or {}
+    engine = _section(scenario, "engine")
     if getattr(args, "weights", None) is not None:
         parts = [float(p) for p in args.weights.split(",")]
         if len(parts) != 3:
             raise ValueError("--weights takes three comma-separated values")
         weights = ScoringWeights(*parts)
     else:
+        weight_spec = _typed(dict, engine.get("weights", {}), "engine.weights")
         weights = ScoringWeights(*(
-            _number(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
+            _typed(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
             for name in ("frequency", "length", "recency")
         ))
     n_max = _setting(scenario, args, "n_max")
@@ -326,7 +353,7 @@ def _engine_settings(scenario: dict, args) -> dict:
         "weights": weights,
         "n_max": n_max,
         "top_k": _setting(scenario, args, "top_k"),
-        "continuity_scale": _number(
+        "continuity_scale": _typed(
             float, engine.get("continuity_scale", CONTINUITY_SCALE), "engine.continuity_scale"
         ),
         "fixed_temperature": _setting(scenario, args, "fixed_temperature"),
@@ -335,7 +362,7 @@ def _engine_settings(scenario: dict, args) -> dict:
 
 
 def build_provider(experiment: Experiment, args) -> LogitProvider:
-    base = experiment.scenario.get("base_lm") or {}
+    base = _section(experiment.scenario, "base_lm")
     kind = _flag_or(args, "lm", base.get("kind", "builtin"))
     if getattr(args, "lm_model", None) is not None:
         model = NGramModel.load(args.lm_model)
@@ -480,7 +507,7 @@ def write_summary(payload: dict, path: Path) -> None:
 
 
 def _telemetry(experiment: Experiment) -> list[list]:
-    window = _number(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
+    window = _typed(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
     if window < 1:
         return []
     refs = [item.reference for item in experiment.stream]
@@ -508,9 +535,10 @@ def _load_stream_file(path: str) -> tuple[dict, list[dict]]:
     if not lines:
         raise ValueError(f"stream file {path} is empty")
     header = json.loads(lines[0])
-    if header.get("format") != STREAM_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
         raise ValueError(f"{path} is not a {STREAM_FORMAT} file")
-    return header["scenario"], [json.loads(line) for line in lines[1:]]
+    scenario = _typed(dict, header["scenario"], "scenario", "stream header")
+    return scenario, [json.loads(line) for line in lines[1:]]
 
 
 def _experiment_from_args(args) -> Experiment:
@@ -547,21 +575,30 @@ def cmd_simulate(args) -> int:
         experiment.registry.save(args.vocab_out)
     if args.warmup_out:
         with open(args.warmup_out, "w", encoding="utf-8", newline="\n") as fh:
-            for text in _build_warmup_texts(
-                experiment.scenario, list(experiment.concepts), experiment.seed
-            ):
-                fh.write(text + "\n")
+            texts = _build_warmup_texts(experiment.scenario, experiment.concepts, experiment.seed)
+            fh.writelines(text + "\n" for text in texts)
     print(f"wrote {len(experiment.stream)} items to {out}")
     return 0
+
+
+def _prepare(args) -> tuple[Experiment, dict, list[list], LogitProvider]:
+    """Experiment, engine settings, telemetry and provider: all read before any decode."""
+    experiment = _experiment_from_args(args)
+    settings = _engine_settings(experiment.scenario, args)
+    telemetry = _telemetry(experiment)
+    return experiment, settings, telemetry, build_provider(experiment, args)
+
+
+def _print_means(summaries: list[dict], width: int = 0) -> None:
+    for summary in summaries:
+        means = "  ".join(f"{name}={summary['means'][name]:.4f}" for name in METRIC_FIELDS)
+        print(f"{summary['strategy']:>{width}}: {means}")
 
 
 def cmd_run(args) -> int:
     if args.save_trie is not None and args.strategy != "odd":
         raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
-    experiment = _experiment_from_args(args)
-    settings = _engine_settings(experiment.scenario, args)
-    telemetry = _telemetry(experiment)  # before any output, so a bad window writes none
-    provider = build_provider(experiment, args)
+    experiment, settings, telemetry, provider = _prepare(args)
     records, trie = execute_strategy(experiment, provider, args.strategy, settings)
     write_results(records, Path(args.out))
     if args.trace:
@@ -569,31 +606,22 @@ def cmd_run(args) -> int:
     if args.save_trie is not None:
         Path(args.save_trie).write_bytes(trie.snapshot())
     summary = summarize_strategy(experiment, records, args.strategy)
-    payload = {
-        "seed": experiment.seed,
-        "strategies": [summary],
-        "telemetry": telemetry,
-    }
     if args.summary:
-        write_summary(payload, Path(args.summary))
-    means = summary["means"]
-    print(
-        f"{args.strategy}: "
-        + "  ".join(f"{name}={means[name]:.4f}" for name in METRIC_FIELDS)
-    )
+        write_summary(
+            {"seed": experiment.seed, "strategies": [summary], "telemetry": telemetry},
+            Path(args.summary),
+        )
+    _print_means([summary])
     return 0
 
 
 def cmd_compare(args) -> int:
-    experiment = _experiment_from_args(args)
-    settings = _engine_settings(experiment.scenario, args)
-    provider = build_provider(experiment, args)
+    experiment, settings, telemetry, provider = _prepare(args)
     runs = {
         strategy: execute_strategy(experiment, provider, strategy, settings)[0]
         for strategy in STRATEGY_ORDER
     }
     summaries = [summarize_strategy(experiment, runs[s], s) for s in STRATEGY_ORDER]
-    telemetry = _telemetry(experiment)
     # created only now, so that a failed strategy leaves no directory behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -606,12 +634,7 @@ def cmd_compare(args) -> int:
         {"seed": experiment.seed, "strategies": summaries, "telemetry": telemetry},
         out_dir / "summary.json",
     )
-    for summary in summaries:
-        means = summary["means"]
-        print(
-            f"{summary['strategy']:>11}: "
-            + "  ".join(f"{name}={means[name]:.4f}" for name in METRIC_FIELDS)
-        )
+    _print_means(summaries, width=11)
     return 0
 
 

@@ -18,14 +18,15 @@ Per decoding step the engine:
 Steps with no trie candidates bypass all of this and fall back to greedy
 selection from the raw logits, resetting the agreement streak.
 
-Everything here is pure; the agreement streak lives in the caller-owned
-FusionState value, one per generated sequence.
+Everything here is pure; the agreement streak is an int that each step
+takes and returns, one per generated sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,20 +45,6 @@ BRACKET_HI = 1e3
 TEMPERATURE_FLOOR = 1e-9
 TEMPERATURE_CEIL = 1e9
 STRATEGIES = ("odd", "greedy", "temp-scaled")
-
-
-@dataclass(frozen=True)
-class FusionState:
-    """Carry-over between steps of one generated sequence."""
-
-    run_length: int = 0
-    top_k: int = DEFAULT_TOP_K
-
-    def __post_init__(self):
-        if self.run_length < 0:
-            raise ValueError("run_length must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -186,20 +173,24 @@ def disagreement(q_lm: DenseDistribution, prior: SparseDistribution, k: int = DE
     union = sorted(set(top_k_tokens(q_lm, k)) | set(prior.top_tokens(k)))
     lm_raw = [float(q_lm[token]) for token in union]
     trie_raw = [prior.probs.get(token, 0.0) for token in union]
-    lm_mass = sum(lm_raw)
-    trie_mass = sum(trie_raw)
-    if lm_mass <= 0.0 or trie_mass <= 0.0:
+    if sum(lm_raw) <= 0.0 or sum(trie_raw) <= 0.0:
         return 1.0  # degenerate support
+    return min(1.0, root_jensen_shannon(lm_raw, trie_raw))
+
+
+def root_jensen_shannon(a: Sequence[float], b: Sequence[float]) -> float:
+    """Root JS divergence (natural log) of two aligned lists, each normalized by its sum."""
+    mass_a, mass_b = sum(a), sum(b)
     divergence = 0.0
-    for lm_value, trie_value in zip(lm_raw, trie_raw):
-        p = lm_value / lm_mass
-        q = trie_value / trie_mass
+    for weight_a, weight_b in zip(a, b):
+        p = weight_a / mass_a
+        q = weight_b / mass_b
         m = 0.5 * (p + q)
         if p > 0:
             divergence += 0.5 * p * math.log(p / m)
         if q > 0:
             divergence += 0.5 * q * math.log(q / m)
-    return min(1.0, math.sqrt(max(0.0, divergence)))
+    return math.sqrt(max(0.0, divergence))
 
 
 def continuity(run_length: int, scale: float = CONTINUITY_SCALE) -> float:
@@ -234,8 +225,8 @@ def _checked_logits(z: LogitVector) -> LogitVector:
 
 
 def bypass_step(
-    z: LogitVector, state: FusionState, temperature: float = 1.0
-) -> tuple[TokenId, StepDiagnostics, FusionState]:
+    z: LogitVector, temperature: float = 1.0
+) -> tuple[TokenId, StepDiagnostics, int]:
     """Greedy step on the raw logits, with the base confidence read at ``temperature``.
 
     Serves both baselines and every fusion step without trie candidates; the
@@ -255,18 +246,19 @@ def bypass_step(
         temperature_clamped=False,
         bypass=True,
     )
-    return int(np.argmax(z)), diagnostics, replace(state, run_length=0)
+    return int(np.argmax(z)), diagnostics, 0
 
 
 def fuse_step(
     z: LogitVector,
     prior: SparseDistribution | None,
-    state: FusionState,
+    run_length: int = 0,
+    top_k: int = DEFAULT_TOP_K,
     continuity_scale: float = CONTINUITY_SCALE,
-) -> tuple[TokenId, StepDiagnostics, FusionState]:
-    """One decoding step; returns (chosen token, diagnostics, updated state)."""
+) -> tuple[TokenId, StepDiagnostics, int]:
+    """One step after a streak of ``run_length``; returns (token, diagnostics, new streak)."""
     if prior is None:
-        return bypass_step(z, state)
+        return bypass_step(z)
     z = _checked_logits(z)
     for token in prior.probs:
         if not 0 <= token < z.size:
@@ -280,8 +272,8 @@ def fuse_step(
     c_trie = score_max
     calibration = calibrate_temperature(z, score_max)
     q_lm = softmax_with_temperature(z, calibration.temperature)
-    omega = disagreement(q_lm, prior, state.top_k)
-    continuity_value = continuity(state.run_length, continuity_scale)
+    omega = disagreement(q_lm, prior, top_k)
+    continuity_value = continuity(run_length, continuity_scale)
     c_lm_adjusted, c_trie_adjusted = adjust_confidences(c_lm, c_trie, omega, continuity_value)
     denominator = c_lm_adjusted + c_trie_adjusted
     gamma = 0.5 if denominator == 0.0 else c_lm_adjusted / denominator
@@ -293,7 +285,7 @@ def fuse_step(
     chosen = int(np.argmax(fused))
 
     lm_top = int(np.argmax(q_lm))
-    streak = state.run_length + 1 if lm_top == prior.argmax_token() else 0
+    streak = run_length + 1 if lm_top == prior.argmax_token() else 0
     diagnostics = StepDiagnostics(
         c_lm=c_lm,
         c_trie=c_trie,
@@ -306,7 +298,7 @@ def fuse_step(
         temperature_clamped=calibration.clamped,
         bypass=False,
     )
-    return chosen, diagnostics, replace(state, run_length=streak)
+    return chosen, diagnostics, streak
 
 
 @dataclass(frozen=True)
@@ -331,7 +323,7 @@ class DecoderConfig:
 
 
 class Decoder:
-    """Stateless step dispatcher; per-sequence state lives in FusionState."""
+    """Stateless step dispatcher; the caller threads each sequence's streak."""
 
     def __init__(self, config: DecoderConfig | None = None):
         self.config = config or DecoderConfig()
@@ -340,16 +332,10 @@ class Decoder:
     def wants_prior(self) -> bool:
         return self.config.strategy == "odd"
 
-    def initial_state(self) -> FusionState:
-        return FusionState(run_length=0, top_k=self.config.top_k)
-
     def step(
-        self,
-        z: LogitVector,
-        prior: SparseDistribution | None,
-        state: FusionState,
-    ) -> tuple[TokenId, StepDiagnostics, FusionState]:
+        self, z: LogitVector, prior: SparseDistribution | None, run_length: int
+    ) -> tuple[TokenId, StepDiagnostics, int]:
         if self.wants_prior:
-            return fuse_step(z, prior, state, continuity_scale=self.config.continuity_scale)
+            return fuse_step(z, prior, run_length, self.config.top_k, self.config.continuity_scale)
         scaled = self.config.strategy == "temp-scaled"
-        return bypass_step(z, state, self.config.fixed_temperature if scaled else 1.0)
+        return bypass_step(z, self.config.fixed_temperature if scaled else 1.0)

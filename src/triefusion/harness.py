@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fusion import Decoder, FusionState, StepDiagnostics
+from .fusion import Decoder, StepDiagnostics
 from .lm import LogitProvider
 from .metrics import MetricBundle, evaluate_pair
 from .prior import trie_prior
@@ -61,7 +61,8 @@ def decode_sequence(
     decoder: Decoder,
     now: float,
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
-    eos_id: TokenId | None = None,
+    *,
+    eos_id: TokenId,
 ) -> tuple[list[TokenId], list[StepDiagnostics], list[tuple[tuple[TokenId, float], ...] | None]]:
     """Extend ``prompt`` token by token until the end marker or the cap.
 
@@ -73,17 +74,17 @@ def decode_sequence(
     ids = list(prompt)
     steps: list[StepDiagnostics] = []
     priors: list[tuple[tuple[TokenId, float], ...] | None] = []
-    state: FusionState = decoder.initial_state()
+    run_length = 0
     for _ in range(max_new_tokens):
         z = provider.logits(ids)
         prior = None
         if decoder.wants_prior and ids:
             prior = trie_prior(trie, ids, now, decoder.config.weights)
-        token, diagnostics, state = decoder.step(z, prior, state)
+        token, diagnostics, run_length = decoder.step(z, prior, run_length)
         steps.append(diagnostics)
         priors.append(tuple(sorted(prior.probs.items())) if prior is not None else None)
         ids.append(token)
-        if eos_id is not None and token == eos_id:
+        if token == eos_id:
             break
     return ids, steps, priors
 
@@ -95,7 +96,8 @@ def run_online(
     decoder: Decoder,
     registry: VocabRegistry,
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
-    eos_id: TokenId | None = None,
+    *,
+    eos_id: TokenId,
 ) -> list[ItemRecord]:
     """Strict test-then-train pass over the stream, in order; a None trie stays unfilled.
 
@@ -116,7 +118,7 @@ def run_online(
             max_new_tokens=max_new_tokens,
             eos_id=eos_id,
         )
-        shown = ids[:-1] if (eos_id is not None and ids and ids[-1] == eos_id) else ids
+        shown = ids[:-1] if ids[-1] == eos_id else ids
         hypothesis_text = detokenize(shown, registry)
         pair = (item.reference_text, hypothesis_text)
         bundle = scored.get(pair)
@@ -138,8 +140,7 @@ def run_online(
             )
         )
         if trie is not None:
-            observed = list(item.reference) + ([eos_id] if eos_id is not None else [])
-            trie.insert_sequence(observed, item.timestamp)
+            trie.insert_sequence(list(item.reference) + [eos_id], item.timestamp)
     return records
 
 

@@ -100,10 +100,7 @@ class NGramModel(LogitProvider):
             counter[token] += 1
 
     def _context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
-        history = self.order - 1
-        if history == 0:
-            return ()
-        return tuple(prefix[len(prefix) - history :]) if len(prefix) >= history else tuple(prefix)
+        return tuple(prefix[max(0, len(prefix) - self.order + 1) :])
 
     def probabilities(self, prefix: Sequence[TokenId]) -> np.ndarray:
         self._check_prefix(prefix)

@@ -32,6 +32,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyWindow, InvalidSchedule, MissingSubstitution
+from .fusion import root_jensen_shannon
 from .vocab import TokenId, VocabRegistry
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -200,18 +201,8 @@ def lexical_drift_telemetry(window_a: Iterable, window_b: Iterable) -> float:
     counts_b = Counter(window_b)
     if not counts_a or not counts_b:
         raise EmptyWindow("both windows must contain at least one token")
-    total_a = sum(counts_a.values())
-    total_b = sum(counts_b.values())
-    divergence = 0.0
-    for token in set(counts_a) | set(counts_b):
-        p = counts_a.get(token, 0) / total_a
-        q = counts_b.get(token, 0) / total_b
-        m = 0.5 * (p + q)
-        if p > 0:
-            divergence += 0.5 * p * math.log(p / m)
-        if q > 0:
-            divergence += 0.5 * q * math.log(q / m)
-    return math.sqrt(max(0.0, divergence))
+    union = set(counts_a) | set(counts_b)
+    return root_jensen_shannon([counts_a[t] for t in union], [counts_b[t] for t in union])
 
 
 def rolling_drift(

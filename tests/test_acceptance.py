@@ -28,7 +28,6 @@ from triefusion.cli import (
     _engine_settings,
 )
 from triefusion.fusion import (
-    FusionState,
     calibrate_temperature,
     continuity,
     disagreement,
@@ -84,8 +83,7 @@ def test_criterion_1_distribution_validity():
         prior = None if trial % 7 == 0 else _random_prior(rng, vocab)
         if prior is not None:
             assert abs(sum(prior.probs.values()) - 1.0) <= 1e-9
-        state = FusionState(run_length=int(rng.integers(0, 12)))
-        token, diag, new_state = fuse_step(z, prior, state)
+        token, diag, streak = fuse_step(z, prior, int(rng.integers(0, 12)))
 
         q_lm = softmax_with_temperature(z, diag.temperature)
         assert abs(float(q_lm.sum()) - 1.0) <= 1e-9
@@ -101,7 +99,7 @@ def test_criterion_1_distribution_validity():
                       diag.c_lm_adjusted, diag.c_trie_adjusted):
             assert 0.0 <= value <= 1.0
         assert 0.0 <= diag.continuity < 1.0
-        assert new_state.run_length >= 0
+        assert streak >= 0
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(1, "distribution validity")

@@ -5,6 +5,7 @@ import socket
 import numpy as np
 import pytest
 
+from triefusion import cli
 from triefusion.cli import (
     SETTINGS,
     _engine_settings,
@@ -332,6 +333,27 @@ class TestCompare:
             expected = " ".join(experiment.registry.token_of(t) for t in shown)
             assert row["hypothesis"] == expected
 
+    def test_set_up_is_checked_before_any_decode(self, tmp_path, small_scenario, capsys,
+                                                 monkeypatch):
+        # a bad telemetry window stops compare before its first strategy, as it stops run
+        scenario = json.loads(small_scenario.read_text())
+        scenario["telemetry_window"] = True
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(scenario))
+        calls = []
+        original = cli.execute_strategy
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "execute_strategy", counting)
+        for command in (["compare", "--out-dir", str(tmp_path / "cmp")],
+                        ["run", "--out", str(tmp_path / "r.jsonl")]):
+            assert main([*command, "--scenario", str(path)]) == 2
+            assert "scenario key 'telemetry_window'" in capsys.readouterr().err
+        assert calls == []
+
     def test_failed_strategy_leaves_no_out_dir(self, tmp_path, small_scenario):
         # max_new_tokens is rejected inside the first strategy's run, not up front
         out_dir = tmp_path / "cmp"
@@ -431,6 +453,51 @@ class TestSettingsTable:
         out = tmp_path / "r.jsonl"
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, edit, key", [
+        ("run", lambda s: s.update(engine=5), "engine"),
+        ("run", lambda s: s.update(engine=None), "engine"),
+        ("run", lambda s: s.update(base_lm=5), "base_lm"),
+        ("run", lambda s: s.update(warmup=5), "warmup"),
+        ("run", lambda s: s.update(warmup=None), "warmup"),
+        ("run", lambda s: s.setdefault("engine", {}).update(weights=5), "engine.weights"),
+        ("run", lambda s: s["warmup"].update(concept=["concept-1"]), "warmup.concept"),
+        ("run", lambda s: s["warmup"].update(insert_into_trie="no"), "warmup.insert_into_trie"),
+        ("simulate", lambda s: s.update(concepts=5), "concepts"),
+        ("simulate", lambda s: s.update(concepts=[5]), "concepts[0]"),
+        ("simulate", lambda s: s["concepts"][0].update(substitutions=5),
+         "concepts[0].substitutions"),
+        ("simulate", lambda s: s.update(templates=5), "templates"),
+        ("simulate", lambda s: s.update(templates=[5]), "templates[0]"),
+        ("simulate", lambda s: s.update(eos=5), "eos"),
+    ], ids=["engine-5", "engine-null", "base_lm-5", "warmup-5", "warmup-null", "weights-5",
+            "warmup-concept-list", "insert-into-trie-string", "concepts-5", "concept-5",
+            "substitutions-5", "templates-5", "template-5", "eos-5"])
+    def test_misshapen_scenario_value_is_config_error(self, tmp_path, small_scenario, capsys,
+                                                      command, edit, key):
+        # a section or list of the wrong JSON shape, null included, names its key
+        scenario = json.loads(small_scenario.read_text())
+        edit(scenario)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"scenario key {key!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--fixed-temperature", "nan"),
+                                             ("--smoothing-k", "inf")])
+    def test_bad_flag_value_is_named_as_flag(self, tmp_path, small_scenario, capsys,
+                                             flag, value):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), flag, value,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"flag {flag!r}" in err
+        assert "scenario key" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -560,16 +627,31 @@ class TestStreamFileValidation:
             (12, lambda row: row["spans"][0].__setitem__(2, row["spans"][0][1]), "outside"),
             (12, lambda row: row.update(prompt_len=50), "prompt_len"),
             (12, lambda row: row.update(prompt_len=-1), "prompt_len"),
+            # row values of the wrong JSON type name the item and the key
+            (12, lambda row: row.update(prompt_len=True), "stream item 11 'prompt_len'"),
+            (12, lambda row: row.update(prompt_len=1.7), "stream item 11 'prompt_len'"),
+            (12, lambda row: row.update(index=2.5), "stream item 11 'index'"),
+            (12, lambda row: row.update(timestamp=str(row["timestamp"])),
+             "stream item 11 'timestamp'"),
+            (12, lambda row: row["spans"][0].__setitem__(1, str(row["spans"][0][1])),
+             "stream item 11 'spans[0][1]'"),
+            (12, lambda row: row.update(spans=None), "stream item 11 'spans'"),
+            (12, lambda row: row.update(reference=5), "stream item 11 'reference'"),
         ],
         ids=["timestamp-regression", "nan-timestamp", "zero-timestamp", "span-past-end",
-             "negative-span-start", "empty-span", "prompt-past-span", "negative-prompt"],
+             "negative-span-start", "empty-span", "prompt-past-span", "negative-prompt",
+             "bool-prompt-len", "fractional-prompt-len", "fractional-index", "string-timestamp",
+             "string-span-start", "null-spans", "number-reference"],
     )
     def test_bad_row_rejected_before_any_output(self, tmp_path, small_scenario, capsys,
                                                 row_number, edit, message):
         stream = tmp_path / "stream.jsonl"
         main(["simulate", "--scenario", str(small_scenario), "--out", str(stream)])
         _rewrite_row(stream, row_number, edit)
+        capsys.readouterr()
         out_dir = tmp_path / "cmp"
         assert main(["compare", "--stream", str(stream), "--out-dir", str(out_dir)]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert not out_dir.exists()

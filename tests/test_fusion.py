@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import jsd_ref
 
 from triefusion import fusion
 from triefusion.errors import NonPositiveTemperature
 from triefusion.fusion import (
     Decoder,
     DecoderConfig,
-    FusionState,
     adjust_confidences,
     calibrate_temperature,
     continuity,
@@ -169,6 +170,23 @@ class TestDisagreement:
         assert value == 1.0
         assert 0.0 <= disagreement(dense, prior, 2) <= 1.0
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference_loop(self, data):
+        # bit for bit against the loop as it stood before it was shared
+        vocab = data.draw(st.integers(min_value=2, max_value=40))
+        weight = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0))
+        dense = np.array(data.draw(st.lists(weight, min_size=vocab, max_size=vocab)))
+        if data.draw(st.booleans()) and dense.sum() > 0:
+            dense = dense / dense.sum()
+        support = data.draw(st.dictionaries(st.integers(min_value=0, max_value=vocab - 1),
+                                            weight, min_size=1))
+        total = sum(support.values())
+        assume(total > 0)
+        prior = SparseDistribution({t: w / total for t, w in support.items()})
+        k = data.draw(st.integers(min_value=1, max_value=8))
+        assert disagreement(dense, prior, k) == jsd_ref.disagreement(dense, prior, k)
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
@@ -220,16 +238,16 @@ class TestAdjust:
 
 class TestFuseStep:
     def test_bypass_on_empty_prior(self):
-        token, diag, state = fuse_step(np.array([2.0, 0.0, 1.0]), None, FusionState(run_length=4))
+        token, diag, streak = fuse_step(np.array([2.0, 0.0, 1.0]), None, 4)
         assert token == 0
         assert diag.bypass and diag.gamma == 1.0
-        assert state.run_length == 0
+        assert streak == 0
 
     def test_zero_lm_confidence_hands_over_to_trie(self):
         # uniform logits: calibration skipped, c_lm = 0, so gamma = 0
         # (up to one ulp of libm log rounding in the entropy)
         prior = SparseDistribution({2: 0.9, 0: 0.1})
-        token, diag, _ = fuse_step(np.zeros(4), prior, FusionState())
+        token, diag, _ = fuse_step(np.zeros(4), prior, 0)
         assert token == 2
         assert diag.gamma == pytest.approx(0.0, abs=1e-12)
         assert diag.temperature_clamped
@@ -238,8 +256,7 @@ class TestFuseStep:
         # Self-consistent inputs: the prior peak is attainable by tempering.
         z = np.array([1.2, 0.3, -0.5])
         prior = SparseDistribution({1: 0.55, 2: 0.45})
-        state = FusionState(run_length=2, top_k=5)
-        token, diag, new_state = fuse_step(z, prior, state)
+        token, diag, streak = fuse_step(z, prior, 2, top_k=5)
 
         # oracle: everything below recomputed with plain scalar math
         from scipy.optimize import brentq
@@ -274,12 +291,12 @@ class TestFuseStep:
         assert diag.gamma == pytest.approx(gamma, abs=1e-9)
         assert token == max(range(3), key=lambda i: fused[i])
         # base argmax (0) disagrees with the prior argmax (1): streak resets
-        assert new_state.run_length == 0
+        assert streak == 0
 
     def test_agreement_increments_streak(self):
         prior = SparseDistribution({0: 0.8, 1: 0.2})
-        _, _, state = fuse_step(np.array([3.0, 0.0, 0.0]), prior, FusionState(run_length=5))
-        assert state.run_length == 6
+        _, _, streak = fuse_step(np.array([3.0, 0.0, 0.0]), prior, 5)
+        assert streak == 6
 
     def test_fused_distribution_sums_to_one(self):
         rng = np.random.default_rng(9)
@@ -292,13 +309,13 @@ class TestFuseStep:
             prior = SparseDistribution(
                 {int(t): float(w) for t, w in zip(sorted(support), weights)}
             )
-            _, diag, _ = fuse_step(z, prior, FusionState())
+            _, diag, _ = fuse_step(z, prior, 0)
             assert 0.0 <= diag.gamma <= 1.0
             assert 0.0 <= diag.omega <= 1.0
 
     def test_prior_token_out_of_range(self):
         with pytest.raises(ValueError):
-            fuse_step(np.array([0.5, 0.2]), SparseDistribution({5: 1.0}), FusionState())
+            fuse_step(np.array([0.5, 0.2]), SparseDistribution({5: 1.0}), 0)
 
 
 class TestDecoderPresets:
@@ -306,13 +323,13 @@ class TestDecoderPresets:
         decoder = Decoder(DecoderConfig(strategy="greedy"))
         z = np.array([0.2, 1.9, -0.3])
         prior = SparseDistribution({0: 1.0})
-        token, diag, _ = decoder.step(z, prior, decoder.initial_state())
+        token, diag, _ = decoder.step(z, prior, 0)
         assert token == 1 and diag.bypass
 
     def test_temp_scaled_preserves_argmax(self):
         decoder = Decoder(DecoderConfig(strategy="temp-scaled", fixed_temperature=7.5))
         z = np.array([0.2, 1.9, -0.3])
-        token, diag, _ = decoder.step(z, None, decoder.initial_state())
+        token, diag, _ = decoder.step(z, None, 0)
         assert token == 1
         assert diag.temperature == 7.5 and diag.gamma == 1.0
 
@@ -326,7 +343,7 @@ class TestDecoderPresets:
 
         monkeypatch.setattr(fusion, "entropy_confidence", counting)
         decoder = Decoder(DecoderConfig(strategy="temp-scaled", fixed_temperature=1.5))
-        decoder.step(np.array([0.2, 1.9, -0.3]), None, decoder.initial_state())
+        decoder.step(np.array([0.2, 1.9, -0.3]), None, 0)
         assert len(calls) == 1
 
     def test_unknown_strategy_rejected(self):

@@ -1,8 +1,9 @@
 """Byte identity of the CLI's deterministic outputs.
 
 The digests pin every file that ``compare --trace`` writes on the three
-builtin scenarios, and every file that ``run --trace --summary --save-trie``
-writes on telco-abrupt. A change that alters one byte of a results, trace,
+builtin scenarios, every file that ``run --trace --summary --save-trie``
+writes on telco-abrupt, and the stream, vocabulary and warm-up files that
+``simulate`` writes on telco-abrupt. A change that alters one byte of a results, trace,
 summary or snapshot file fails here; a deliberate format change must update
 the digests and say why.
 """
@@ -80,6 +81,25 @@ def test_run_outputs_are_pinned(tmp_path, capsys):
         "--save-trie", str(out / "trie.bin"),
     ]) == 0
     assert _digests(out) == RUN_DIGESTS
+
+
+SIMULATE_DIGESTS = {
+    "stream.jsonl": "020323e60cce52cefa21a7da2368610c1f0ca000ed6f67581d1a1d2ce98305b5",
+    "vocab.txt": "d5ecc2b1b99fb7a75cfdd39791fd9df617329d608700e854e15892754d036ec4",
+    "warmup.txt": "f1cef3edf4a86cfc1112b05902faeebc088297fd12dabcb1bd39418416cf97b7",
+}
+
+
+def test_simulate_outputs_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([
+        "simulate", "--scenario", "builtin:telco-abrupt",
+        "--out", str(out / "stream.jsonl"),
+        "--vocab-out", str(out / "vocab.txt"),
+        "--warmup-out", str(out / "warmup.txt"),
+    ]) == 0
+    assert _digests(out) == SIMULATE_DIGESTS
 
 
 TRIE_DUMP_DIGEST = "eeca56139254cd755c85ec46e169c8217bd94c1e3e16d6a7564ac9041093be2d"

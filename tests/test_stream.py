@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import jsd_ref
 
 from triefusion.errors import EmptyWindow, InvalidSchedule, MissingSubstitution
 from triefusion.stream import (
@@ -142,6 +145,16 @@ class TestTelemetry:
     def test_empty_window(self):
         with pytest.raises(EmptyWindow):
             lexical_drift_telemetry([], ["a"])
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference_loop(self, data):
+        # bit for bit against the loop as it stood before it was shared
+        token = st.one_of(st.integers(min_value=0, max_value=30), st.text(max_size=3))
+        window_a = data.draw(st.lists(token, min_size=1, max_size=60))
+        window_b = data.draw(st.lists(token, min_size=1, max_size=60))
+        assert lexical_drift_telemetry(window_a, window_b) == jsd_ref.lexical_drift_telemetry(
+            window_a, window_b)
 
     def test_rolling_drift_spikes_at_switch(self):
         registry = VocabRegistry()
