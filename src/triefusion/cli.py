@@ -100,9 +100,16 @@ _WANTED = {int: "an integer", float: "a finite number", dict: "an object", list:
            str: "a string", bool: "true or false"}
 
 
+_MISSING = object()  # ``mapping.get(key, _MISSING)``: the key is absent
+
+
 def _typed(kind, value, key, where: str = "scenario key"):
     """``value`` as JSON ``kind`` (an ``int`` whole, a ``float`` finite, neither a bool),
     else a config error naming ``where`` and ``key``. Null is never accepted."""
+    if value is _MISSING:  # named by the container before the key's last dot
+        container, _, leaf = str(key).rpartition(".")
+        where = f"{where} {container!r}" if container else where
+        raise ValueError(f"{where} is missing {leaf!r}")
     if kind in (int, float):
         try:
             if not isinstance(value, bool) and isinstance(value, (int, float)):
@@ -135,10 +142,13 @@ def load_scenario(source: str) -> dict:
     else:
         path = Path(source)
     with open(path, encoding="utf-8") as fh:
-        scenario = _typed(dict, json.load(fh), source, "scenario file")
+        return _required_keys(_typed(dict, json.load(fh), source, "scenario file"), "scenario")
+
+
+def _required_keys(scenario: dict, where: str) -> dict:
     for key in ("templates", "concepts", "schedule", "length", "seed"):
         if key not in scenario:
-            raise ValueError(f"scenario is missing the {key!r} key")
+            raise ValueError(f"{where} is missing the {key!r} key")
     return scenario
 
 
@@ -146,10 +156,11 @@ def _parse_concepts(scenario: dict) -> tuple[ConceptSpec, ...]:
     concepts = []
     for i, entry in enumerate(_items(dict, scenario["concepts"], "concepts")):
         key = f"concepts[{i}]"
-        substitutions = _typed(dict, entry["substitutions"], f"{key}.substitutions")
+        substitutions = _typed(dict, entry.get("substitutions", _MISSING), f"{key}.substitutions")
         for name, value in substitutions.items():
             _typed(str, value, f"{key}.substitutions.{name}")
-        concepts.append(ConceptSpec(_typed(str, entry["id"], f"{key}.id"), dict(substitutions)))
+        concept_id = _typed(str, entry.get("id", _MISSING), f"{key}.id")
+        concepts.append(ConceptSpec(concept_id, dict(substitutions)))
     return tuple(concepts)
 
 
@@ -161,8 +172,8 @@ def _parse_schedule(scenario: dict, seed: int) -> DriftSchedule:
         ramp_spec = raw["ramp"]
         if isinstance(ramp_spec, dict):
             length = _typed(int, scenario["length"], "length")
-            start = _typed(float, ramp_spec["start"], "schedule.ramp.start")
-            end = _typed(float, ramp_spec["end"], "schedule.ramp.end")
+            start = _typed(float, ramp_spec.get("start", _MISSING), "schedule.ramp.start")
+            end = _typed(float, ramp_spec.get("end", _MISSING), "schedule.ramp.end")
             if length == 1:
                 ramp = (end,)
             else:
@@ -216,18 +227,18 @@ def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -
     """Row ``position`` of a stream file, rejected if decoding would fail on or mis-score it."""
     where = f"stream item {position}"
     row = _typed(dict, row, position, "stream item")
-    reference = _typed(str, row["reference"], "reference", where)
+    reference = _typed(str, row.get("reference", _MISSING), "reference", where)
     ids = tuple(tokenize(reference, registry, grow=True))
-    prompt_len = _typed(int, row["prompt_len"], "prompt_len", where)
+    prompt_len = _typed(int, row.get("prompt_len", _MISSING), "prompt_len", where)
     spans = []
-    for i, span in enumerate(_items(list, row["spans"], "spans", where)):
+    for i, span in enumerate(_items(list, row.get("spans", _MISSING), "spans", where)):
         if len(span) != 4:
             raise ValueError(f"{where} 'spans[{i}]' needs [name, start, end, value], got {span!r}")
         spans.append(PlaceholderSpan(*(
             _typed(kind, part, f"spans[{i}][{j}]", where)
             for j, (kind, part) in enumerate(zip((str, int, int, str), span))
         )))
-    timestamp = _typed(float, row["timestamp"], "timestamp", where)
+    timestamp = _typed(float, row.get("timestamp", _MISSING), "timestamp", where)
     for span in spans:
         if not 0 <= span.start < span.end <= len(ids):
             raise ValueError(
@@ -243,11 +254,11 @@ def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -
             f"not before the previous item's {previous}"
         )
     return StreamItem(
-        index=_typed(int, row["index"], "index", where),
+        index=_typed(int, row.get("index", _MISSING), "index", where),
         prompt=ids[:prompt_len],
         reference=ids,
         timestamp=timestamp,
-        concept_id=_typed(str, row["concept"], "concept", where),
+        concept_id=_typed(str, row.get("concept", _MISSING), "concept", where),
         prompt_text=" ".join(reference.split()[:prompt_len]),
         reference_text=" ".join(reference.split()),
         spans=tuple(spans),
@@ -265,6 +276,9 @@ def build_experiment(
     index order, so rebuilding from a stream file lands on the same id
     space as generating directly from the scenario.
     """
+    templates = _items(str, scenario["templates"], "templates")
+    if not templates:
+        raise ValueError("scenario key 'templates' needs at least one template")
     seed = _typed(int, scenario["seed"], "seed") if seed_override is None else seed_override
     # the scenario carried forward (e.g. into stream-file headers) must
     # reflect the seed actually used
@@ -280,7 +294,6 @@ def build_experiment(
 
     if stream_items is None:
         length = _typed(int, scenario["length"], "length")
-        templates = _items(str, scenario["templates"], "templates")
         stream = generate_stream(templates, schedule, length, registry, timestamp_step)
     else:
         stream = []
@@ -374,15 +387,16 @@ def build_provider(experiment: Experiment, args) -> LogitProvider:
             )
         return model
     if kind == "external":
-        endpoint = _flag_or(args, "endpoint", base.get("endpoint"))
-        if not endpoint:
+        if getattr(args, "endpoint", None) is not None:
+            endpoint, key, where = args.endpoint, "--endpoint", "flag"
+        elif "endpoint" in base:
+            endpoint, key, where = base["endpoint"], "base_lm.endpoint", "scenario key"
+        else:
             raise ValueError("external base model needs --endpoint host:port")
-        if isinstance(endpoint, str):
-            host, _, port = endpoint.rpartition(":")
-            endpoint = (host, int(port))
-        return ExternalLogitProvider.connect_tcp(
-            endpoint[0], int(endpoint[1]), len(experiment.registry)
-        )
+        host, _, port = _typed(str, endpoint, key, where).rpartition(":")
+        if not (port.isascii() and port.isdecimal() and int(port) <= 65535):
+            raise ValueError(f"{where} {key!r} needs host:port, port 0-65535; got {endpoint!r}")
+        return ExternalLogitProvider.connect_tcp(host, int(port), len(experiment.registry))
     if kind != "builtin":
         raise ValueError(f"unknown base_lm kind {kind!r}")
     if not experiment.warmup_corpus:
@@ -537,8 +551,8 @@ def _load_stream_file(path: str) -> tuple[dict, list[dict]]:
     header = json.loads(lines[0])
     if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
         raise ValueError(f"{path} is not a {STREAM_FORMAT} file")
-    scenario = _typed(dict, header["scenario"], "scenario", "stream header")
-    return scenario, [json.loads(line) for line in lines[1:]]
+    scenario = _typed(dict, header.get("scenario", _MISSING), "scenario", "stream header")
+    return _required_keys(scenario, "stream header scenario"), [json.loads(l) for l in lines[1:]]
 
 
 def _experiment_from_args(args) -> Experiment:

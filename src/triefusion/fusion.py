@@ -280,8 +280,8 @@ def fuse_step(
 
     fused = gamma * q_lm
     trie_share = 1.0 - gamma
-    for token in sorted(prior.probs):
-        fused[token] += trie_share * prior.probs[token]
+    for token, prob in prior.probs.items():
+        fused[token] += trie_share * prob
     chosen = int(np.argmax(fused))
 
     lm_top = int(np.argmax(q_lm))

@@ -82,7 +82,7 @@ def decode_sequence(
             prior = trie_prior(trie, ids, now, decoder.config.weights)
         token, diagnostics, run_length = decoder.step(z, prior, run_length)
         steps.append(diagnostics)
-        priors.append(tuple(sorted(prior.probs.items())) if prior is not None else None)
+        priors.append(tuple(prior.probs.items()) if prior is not None else None)
         ids.append(token)
         if token == eos_id:
             break

@@ -54,33 +54,26 @@ DEFAULT_WEIGHTS = ScoringWeights()
 
 @dataclass
 class SparseDistribution:
-    """Probabilities over the candidate support; zero mass everywhere else."""
+    """Probabilities over the candidate support, in ascending token order; zero mass elsewhere."""
 
     probs: dict[TokenId, float]
 
     def __post_init__(self):
         if not self.probs:
             raise ValueError("sparse distribution needs at least one entry")
+        self.probs = dict(sorted(self.probs.items()))
         if not all(p >= 0 for p in self.probs.values()):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = sum(self.probs.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
 
-    @property
-    def support_size(self) -> int:
-        return len(self.probs)
-
     def max_prob(self) -> float:
         return max(self.probs.values())
 
     def argmax_token(self) -> TokenId:
-        best_token, best_prob = -1, -1.0
-        for token in sorted(self.probs):
-            prob = self.probs[token]
-            if prob > best_prob:
-                best_token, best_prob = token, prob
-        return best_token
+        """The most probable token; ``max`` keeps the first, so ties go to the smallest id."""
+        return max(self.probs, key=self.probs.__getitem__)
 
     def top_tokens(self, k: int) -> list[TokenId]:
         """Up to ``k`` positive-mass tokens, highest probability first, ties by id."""
@@ -161,8 +154,8 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
         return SparseDistribution({winner: 1.0})
     rest_total = sum(score for token, score in scores.items() if token != winner)
     return SparseDistribution({
-        token: score_max if token == winner else (1.0 - score_max) * scores[token] / rest_total
-        for token in sorted(scores)
+        token: score_max if token == winner else (1.0 - score_max) * score / rest_total
+        for token, score in scores.items()
     })
 
 

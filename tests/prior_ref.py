@@ -137,3 +137,13 @@ def trie_prior(
     if not raw:
         return None
     return top_preserving_distribution(score_candidates(raw, len(prefix), now, weights))
+
+
+def argmax_token(probs: dict[TokenId, float]) -> TokenId:
+    """``SparseDistribution.argmax_token`` as it stood: a scan in sorted token order."""
+    best_token, best_prob = -1, -1.0
+    for token in sorted(probs):
+        prob = probs[token]
+        if prob > best_prob:
+            best_token, best_prob = token, prob
+    return best_token

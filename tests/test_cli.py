@@ -416,6 +416,11 @@ ZERO_MESSAGES = {
 }
 
 
+_BAD_ENDPOINTS = {"int": 5, "list": ["h"], "list-null": ["h", None],
+                  "word-port": "localhost:notaport", "no-port": "localhost", "empty": "",
+                  "port-too-big": "127.0.0.1:70000", "negative-port": "127.0.0.1:-1"}
+
+
 class TestSettingsTable:
     def test_every_table_setting_has_a_zero_case(self):
         assert set(SETTINGS) == set(ZERO_MESSAGES)
@@ -471,9 +476,15 @@ class TestSettingsTable:
         ("simulate", lambda s: s.update(templates=5), "templates"),
         ("simulate", lambda s: s.update(templates=[5]), "templates[0]"),
         ("simulate", lambda s: s.update(eos=5), "eos"),
+    ] + [
+        # the endpoint is one host:port string with a decimal port
+        ("run", lambda s, e=endpoint: s.update(base_lm={"kind": "external", "endpoint": e}),
+         "base_lm.endpoint")
+        for endpoint in _BAD_ENDPOINTS.values()
     ], ids=["engine-5", "engine-null", "base_lm-5", "warmup-5", "warmup-null", "weights-5",
             "warmup-concept-list", "insert-into-trie-string", "concepts-5", "concept-5",
-            "substitutions-5", "templates-5", "template-5", "eos-5"])
+            "substitutions-5", "templates-5", "template-5", "eos-5"]
+    + [f"endpoint-{name}" for name in _BAD_ENDPOINTS])
     def test_misshapen_scenario_value_is_config_error(self, tmp_path, small_scenario, capsys,
                                                       command, edit, key):
         # a section or list of the wrong JSON shape, null included, names its key
@@ -615,6 +626,9 @@ def _rewrite_row(stream, row_number, edit):
     stream.write_text("\n".join(lines) + "\n")
 
 
+_ROW_KEYS = ("concept", "reference", "prompt_len", "timestamp", "spans", "index")
+
+
 class TestStreamFileValidation:
     @pytest.mark.parametrize(
         "row_number, edit, message",
@@ -637,11 +651,16 @@ class TestStreamFileValidation:
              "stream item 11 'spans[0][1]'"),
             (12, lambda row: row.update(spans=None), "stream item 11 'spans'"),
             (12, lambda row: row.update(reference=5), "stream item 11 'reference'"),
+        ] + [
+            # an absent key names the item, not just the key
+            (4, lambda row, key=key: row.pop(key), f"stream item 3 is missing {key!r}")
+            for key in _ROW_KEYS
         ],
         ids=["timestamp-regression", "nan-timestamp", "zero-timestamp", "span-past-end",
              "negative-span-start", "empty-span", "prompt-past-span", "negative-prompt",
              "bool-prompt-len", "fractional-prompt-len", "fractional-index", "string-timestamp",
-             "string-span-start", "null-spans", "number-reference"],
+             "string-span-start", "null-spans", "number-reference"]
+        + [f"missing-{key}" for key in _ROW_KEYS],
     )
     def test_bad_row_rejected_before_any_output(self, tmp_path, small_scenario, capsys,
                                                 row_number, edit, message):
@@ -655,3 +674,65 @@ class TestStreamFileValidation:
         assert message in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
+
+
+class TestNamedBoundaryErrors:
+    @pytest.mark.parametrize("endpoint", ["localhost:notaport", "localhost", ""])
+    def test_bad_endpoint_flag_is_named(self, tmp_path, small_scenario, capsys, endpoint):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--lm", "external",
+                     "--endpoint", endpoint, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "flag '--endpoint'" in err
+        assert "scenario key" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("scenario"), "stream header is missing 'scenario'"),
+        (lambda h: h["scenario"].pop("seed"), "stream header scenario is missing the 'seed' key"),
+    ], ids=["scenario", "scenario-seed"])
+    def test_missing_header_key_is_named(self, tmp_path, small_scenario, capsys, edit,
+                                         message):
+        stream = tmp_path / "stream.jsonl"
+        main(["simulate", "--scenario", str(small_scenario), "--out", str(stream)])
+        _rewrite_row(stream, 0, edit)
+        capsys.readouterr()
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--stream", str(stream), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["concepts"][0].pop("id"), "scenario key 'concepts[0]' is missing 'id'"),
+        (lambda s: s["concepts"][1].pop("substitutions"),
+         "scenario key 'concepts[1]' is missing 'substitutions'"),
+        (lambda s: s.update(schedule={"kind": "gradual", "ramp": {"end": 1.0}}),
+         "scenario key 'schedule.ramp' is missing 'start'"),
+        (lambda s: s.update(schedule={"kind": "gradual", "ramp": {"start": 0.0}}),
+         "scenario key 'schedule.ramp' is missing 'end'"),
+    ], ids=["concept-id", "concept-substitutions", "ramp-start", "ramp-end"])
+    def test_missing_scenario_key_names_its_container(self, tmp_path, small_scenario, capsys,
+                                                      edit, message):
+        scenario = json.loads(small_scenario.read_text())
+        edit(scenario)
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "s.jsonl"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "compare"])
+    def test_empty_templates_named_before_any_output(self, tmp_path, small_scenario, capsys,
+                                                     command):
+        scenario = json.loads(small_scenario.read_text())
+        scenario["templates"] = []
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        target = "--out-dir" if command == "compare" else "--out"
+        assert main([command, "--scenario", str(path), target, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "scenario key 'templates' needs at least one template" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

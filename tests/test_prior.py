@@ -329,3 +329,17 @@ def test_pipeline_equals_reference(world):
                 assert got is None
             else:
                 assert list(got.probs.items()) == list(expected.probs.items())
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=60),
+                       st.integers(min_value=0, max_value=4), min_size=1)
+       .filter(lambda weights: sum(weights.values()) > 0))
+@settings(max_examples=200, deadline=None)
+def test_support_is_ascending_and_argmax_matches_reference(weights):
+    # small integer weights make ties common; a tie goes to the smallest id
+    total = sum(weights.values())
+    probs = {token: weight / total for token, weight in weights.items()}
+    dist = SparseDistribution(probs)
+    assert list(dist.probs) == sorted(probs)
+    assert dist.probs == probs
+    assert dist.argmax_token() == prior_ref.argmax_token(probs)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trie_ref
 from bruteforce import NgramScan
 from conftest import T_NEW, T_OLD
 from triefusion.errors import (
@@ -262,9 +263,13 @@ class TestRestoreConsistency:
             lambda p: _patch_node(p, 0, recency=7.5),
             # node 1,2 seen once under node 1 seen twice
             lambda p: _patch_node(p, 1, frequency=3),
+            # depths are read back from the path, so the record's must match it
+            lambda p: _patch_node(p, 0, depth=0),
+            lambda p: _patch_node(p, 1, depth=3),
         ],
         ids=["children-at-n-max", "inf-last-ts", "nan-last-ts", "nan-recency",
-             "zero-recency", "recency-after-last-ts", "frequency-above-parent"],
+             "zero-recency", "recency-after-last-ts", "frequency-above-parent",
+             "root-child-at-depth-0", "depth-skips-a-level"],
     )
     def test_inconsistent_snapshot_rejected(self, corrupt):
         with pytest.raises(CorruptSnapshot):
@@ -403,14 +408,73 @@ def test_recency_monotone_property(sequences):
             seen[key] = recency
 
 
-def test_trie_holds_no_gc_tracked_nodes():
+def _random_trie():
+    """2,000 random 10-token sequences over 1,000 ids: 60,848 nodes."""
     rng = random.Random(0)
-    sequences = [[rng.randrange(1000) for _ in range(10)] for _ in range(2000)]
+    trie = PrefixTrie(n_max=5)
+    for stamp in range(1, 2001):
+        trie.insert_sequence([rng.randrange(1000) for _ in range(10)], float(stamp))
+    return trie
+
+
+def test_trie_holds_no_gc_tracked_nodes():
     gc.collect()
     before = len(gc.get_objects())
-    trie = PrefixTrie(n_max=5)
-    for stamp, seq in enumerate(sequences, start=1):
-        trie.insert_sequence(seq, float(stamp))
+    trie = _random_trie()
     gc.collect()
     assert trie.stats().node_count > 50_000
     assert len(gc.get_objects()) - before < 100
+
+
+def test_snapshot_runs_no_collection():
+    # a walk that holds one tracked object per node (a list of tuples, say)
+    # sets off collections; the column walk allocates per level, not per node
+    trie = _random_trie()
+    assert trie.stats().node_count == 60_848
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        trie.snapshot()
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+
+
+@st.composite
+def _trie_history(draw):
+    """``n_max``, 1-40 sequences of 1-12 ids in [0, 15], and non-decreasing stamps."""
+    n_max = draw(st.integers(min_value=2, max_value=7))
+    sequences = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=12),
+        min_size=1, max_size=40,
+    ))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+                         min_size=len(sequences), max_size=len(sequences)))
+    stamps = [1.0 + sum(gaps[: i + 1]) for i in range(len(sequences))]
+    return n_max, list(zip(sequences, stamps))
+
+
+def _observed(trie, windows):
+    return (trie.snapshot(), trie.stats(), list(trie.walk()),
+            [trie.next_tokens(window) for window in windows])
+
+
+@given(_trie_history())
+@settings(max_examples=120, deadline=None)
+def test_trie_equals_five_column_reference(history):
+    n_max, inserts = history
+    trie, reference = PrefixTrie(n_max=n_max), trie_ref.PrefixTrie(n_max=n_max)
+    for seq, stamp in inserts:
+        assert trie.insert_sequence(seq, stamp) == reference.insert_sequence(seq, stamp)
+    windows = [seq[start:end] for seq, _ in inserts
+               for start in range(len(seq) + 1) for end in range(start, len(seq) + 1)]
+    expected = _observed(reference, windows)
+    assert _observed(trie, windows) == expected
+    assert _observed(PrefixTrie.restore(reference.snapshot()), windows) == expected
+    assert _observed(trie_ref.PrefixTrie.restore(trie.snapshot()), windows) == expected
