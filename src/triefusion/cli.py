@@ -59,6 +59,7 @@ from .stream import (
     render_template,
     rolling_drift,
 )
+from .summation import left_sum
 from .trie import PrefixTrie, TrieConfig
 from .vocab import VocabRegistry, tokenize
 
@@ -461,8 +462,8 @@ def summarize_strategy(experiment: Experiment, records: list[ItemRecord], strate
             )
             summary["drift"] = {
                 "switch_index": switch,
-                "pre_rouge_l": sum(m.rouge_l for m in pre) / len(pre),
-                "post_rouge_l": sum(m.rouge_l for m in post) / len(post),
+                "pre_rouge_l": left_sum(m.rouge_l for m in pre) / len(pre),
+                "post_rouge_l": left_sum(m.rouge_l for m in post) / len(post),
                 "drifted_spans_matched": matched,
                 "drifted_spans_total": total,
                 "drifted_span_rate": (matched / total) if total else None,

@@ -5,7 +5,10 @@ Per decoding step the engine:
 1. reads the base model's confidence off the entropy of its untempered
    softmax (1 - H/log|V|, natural log, so 0 is uniform and 1 is one-hot),
 2. rescales the base logits with a bisection-calibrated temperature so the
-   base peak probability matches the trie prior's peak,
+   base peak probability matches the trie prior's peak; the bisection is
+   replayed from a Newton-seeded bracket, which gives the same floats with a
+   fraction of its full-vocabulary exp passes, and the accepted pass's exp
+   row becomes the tempered distribution,
 3. measures expert disagreement as the square root of the Jensen-Shannon
    divergence between the two distributions renormalized over the union of
    their top-k tokens,
@@ -25,13 +28,14 @@ takes and returns, one per generated sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NonPositiveTemperature
 from .prior import DEFAULT_WEIGHTS, ScoringWeights, SparseDistribution
+from .summation import left_sum
 from .vocab import TokenId
 
 # Unnormalized log-score row / probability row over the full vocabulary.
@@ -66,6 +70,10 @@ class CalibrationResult:
     temperature: float
     clamped: bool
     iterations: int
+    # False only when the bisection ran out of iterations before the peak met its target
+    converged: bool
+    # softmax(z / temperature), from the accepted evaluation's own exp row
+    probs: DenseDistribution = field(compare=False, repr=False)
 
 
 def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistribution:
@@ -75,9 +83,12 @@ def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistrib
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("logit vector is empty")
-    shifted = (z - z.max()) / temperature
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+    exps = z - z.max()
+    if temperature != 1.0:
+        exps /= temperature
+    np.exp(exps, out=exps)
+    exps /= exps.sum()
+    return exps
 
 
 def entropy_confidence(q: DenseDistribution) -> float:
@@ -85,10 +96,118 @@ def entropy_confidence(q: DenseDistribution) -> float:
     q = np.asarray(q, dtype=float)
     if q.size < 2:
         raise ValueError("confidence needs a vocabulary of at least 2")
-    positive = q[q > 0]
-    entropy = float(-(positive * np.log(positive)).sum())
+    mask = q > 0
+    positive = q if mask.all() else q[mask]
+    terms = np.log(positive)
+    terms *= positive
+    entropy = -float(terms.sum())
     confidence = 1.0 - entropy / math.log(q.size)
     return min(1.0, max(0.0, confidence))
+
+
+# An exact peak is 1 / sum(exp(shifted / T)) with sum and exp rounding errors
+# around 1e-15, far below this margin, so an exact gap beyond tol + margin
+# decides the bisection's comparisons at every temperature past it.
+_GAP_MARGIN = 1e-12
+_NEWTON_STEPS = 30  # a cap only: the replay is exact however the seed ends
+_PROBE_REACH_MAX = math.log(TEMPERATURE_CEIL / TEMPERATURE_FLOOR)  # the clamp range, in log T
+
+
+class _PeakGaps:
+    """The bisection's peak gaps for one logit row and target, from as few exp passes as possible.
+
+    ``exact(T)`` is the bisection's own ``1 / sum(exp(shifted / T)) - target``.
+    The peak falls as T rises, so an exact gap above ``tol + margin`` at T is
+    above ``tol`` at every colder T too, and one below ``-(tol + margin)`` is
+    below ``-tol`` at every hotter T. Calling the object returns the gap the
+    bisection needs at T: ``inf`` or ``-inf`` where such a bound decides every
+    comparison it makes, the exact gap in between.
+    """
+
+    def __init__(self, shifted: np.ndarray, target: float, tol: float):
+        self.shifted = shifted
+        self.target = target
+        self.margin = max(tol, 0.0) + _GAP_MARGIN
+        self.cold = 0.0  # the largest T whose exact gap is above the margin
+        self.hot = math.inf  # the smallest T whose exact gap is below -margin
+        self.row = np.empty_like(shifted)  # the exp row of the last exact evaluation
+        self.total = 1.0  # and its sum
+
+    def exact(self, temperature: float) -> float:
+        np.divide(self.shifted, temperature, out=self.row)
+        np.exp(self.row, out=self.row)
+        self.total = self.row.sum()
+        gap = 1.0 / float(self.total) - self.target
+        if gap > self.margin:
+            self.cold = max(self.cold, temperature)
+        elif gap < -self.margin:
+            self.hot = min(self.hot, temperature)
+        return gap
+
+    def __call__(self, temperature: float) -> float:
+        if temperature <= self.cold:
+            return math.inf
+        if temperature >= self.hot:
+            return -math.inf
+        return self.exact(temperature)
+
+    def probs(self) -> DenseDistribution:
+        """The last exact row over its sum: softmax_with_temperature's floats at that T."""
+        self.row /= self.total
+        return self.row
+
+    def seed(self) -> None:
+        """Pin the root between exact gaps just past the margin on either side.
+
+        Newton runs on v = 1/T, where log(sum - ties) is a log-sum-exp of
+        lines in v: convex and falling, so Newton overshoots at most once and
+        then closes in on the root from the hot side. A step that leaves the
+        sign bracket, or a flat row, falls back to a tenfold step or the
+        bracket's geometric middle. Two probes sized from the slope at the
+        landing point then set the bounds.
+        """
+        ties = int(np.count_nonzero(self.shifted == 0.0))
+        excess = 1.0 / self.target - ties  # what the non-peak terms must sum to
+        if not excess > 0.0:  # the peak never exceeds 1/ties: there is no root
+            self.exact(TEMPERATURE_FLOOR)
+            return
+        goal = math.log(excess)
+        v_hot, v_cold = 0.0, math.inf  # 1/T values whose gaps are below / above zero
+        v = 1.0
+        for _ in range(_NEWTON_STEPS):
+            temperature = 1.0 / v
+            gap = self.exact(temperature)
+            # d sum / d v; einsum, because a BLAS dot may wake threads that contend
+            slope = float(np.einsum("i,i", self.shifted, self.row))
+            if abs(gap) <= self.margin:
+                break
+            if gap > 0:
+                v_cold = v
+            else:
+                v_hot = v
+            rest = float(self.total) - ties
+            step = v - rest * (math.log(rest) - goal) / slope if rest > 0.0 > slope else v
+            if not v_hot < step < v_cold:
+                step = v / 10.0 if gap > 0 else v * 10.0
+                if not v_hot < step < v_cold:
+                    step = math.sqrt(v_hot * v_cold)
+            step = min(max(step, 1.0 / TEMPERATURE_CEIL), 1.0 / TEMPERATURE_FLOOR)
+            if step == v:
+                break
+            v = step
+        log_slope = -slope / (temperature * float(self.total) ** 2)  # -d peak / d log T
+        if not log_slope > 0.0:
+            return
+        for side in (-1.0, 1.0):  # colder, then hotter
+            reach = (1.25 * self.margin + side * gap) / log_slope  # in log T
+            for _ in range(3):
+                if not 0.0 < reach <= _PROBE_REACH_MAX:
+                    break
+                probe = temperature * math.exp(side * reach)
+                if self.cold >= probe if side < 0 else self.hot <= probe:
+                    break  # a bound at least this close is already known
+                self.exact(probe)
+                reach *= 2.0
 
 
 def calibrate_temperature(
@@ -105,6 +224,11 @@ def calibrate_temperature(
     targets clamp: constant logits pin the peak at 1/|V| (T = 1 returned),
     target 1 needs T -> 0 (floor returned), target <= 1/|V| needs T -> inf
     (ceiling returned); all clamped results are flagged.
+
+    The bisection is replayed, not run: a Newton-seeded bracket of exact gaps
+    (:class:`_PeakGaps`) decides most midpoints without an exp pass, and the
+    rest are evaluated with the bisection's own float ops, so every
+    temperature, flag and iteration count is the plain bisection's.
     """
     z = np.asarray(z, dtype=float)
     if z.size < 2:
@@ -112,53 +236,58 @@ def calibrate_temperature(
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max!r}")
 
-    shifted = z - z.max()
-
-    def peak(temperature: float) -> float:
-        # max softmax == 1 / sum exp((z - max)/T): the max term is exp(0).
-        return 1.0 / float(np.exp(shifted / temperature).sum())
-
     if np.ptp(z) == 0:
-        return CalibrationResult(1.0, True, 0)
+        return _clamped(z, 1.0)
     if target_max >= 1.0:
-        return CalibrationResult(TEMPERATURE_FLOOR, True, 0)
+        return _clamped(z, TEMPERATURE_FLOOR)
     if target_max <= 1.0 / z.size:
-        return CalibrationResult(TEMPERATURE_CEIL, True, 0)
+        return _clamped(z, TEMPERATURE_CEIL)
 
+    gap = _PeakGaps(z - z.max(), target_max, tol)
+    gap.seed()
     lo, hi = BRACKET_LO, BRACKET_HI
-    while peak(lo) < target_max:
+    while gap(lo) < 0:
         lo *= 0.1
         if lo <= TEMPERATURE_FLOOR:
-            return CalibrationResult(TEMPERATURE_FLOOR, True, 0)
-    while peak(hi) > target_max:
+            return _clamped(z, TEMPERATURE_FLOOR)
+    while gap(hi) > 0:
         hi *= 10.0
         if hi >= TEMPERATURE_CEIL:
-            return CalibrationResult(TEMPERATURE_CEIL, True, 0)
+            return _clamped(z, TEMPERATURE_CEIL)
 
     mid = math.sqrt(lo * hi)
     for iteration in range(1, max_iterations + 1):
         mid = math.sqrt(lo * hi)
-        gap = peak(mid) - target_max
-        if abs(gap) <= tol:
-            return CalibrationResult(mid, False, iteration)
-        if gap > 0:
+        mid_gap = gap(mid)
+        if abs(mid_gap) <= tol:
+            # only an exact gap can be within tol, so the last row is this mid's
+            return CalibrationResult(mid, False, iteration, True, gap.probs())
+        if mid_gap > 0:
             lo = mid
         else:
             hi = mid
-    return CalibrationResult(mid, False, max_iterations)
+    return CalibrationResult(mid, False, max_iterations, False, softmax_with_temperature(z, mid))
+
+
+def _clamped(z: LogitVector, temperature: float) -> CalibrationResult:
+    return CalibrationResult(temperature, True, 0, True, softmax_with_temperature(z, temperature))
 
 
 def top_k_tokens(q: DenseDistribution, k: int) -> list[TokenId]:
-    """Indices of the k largest entries; boundary ties go to smaller ids."""
-    q = np.asarray(q, dtype=float)
+    """Indices of the k largest entries of a probability row; boundary ties go to smaller ids.
+
+    k argmax passes over a copy: argmax returns the first maximum, and each
+    pick is masked with -inf before the next pass.
+    """
+    q = np.array(q, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
-    k = min(k, q.size)
-    kth_value = np.partition(q, q.size - k)[q.size - k]
-    above = np.flatnonzero(q > kth_value)
-    ties = np.flatnonzero(q == kth_value)
-    chosen = np.concatenate([above, ties[: k - above.size]])
-    return sorted(int(t) for t in chosen)
+    chosen = []
+    for _ in range(min(k, q.size)):
+        token = int(q.argmax())
+        chosen.append(token)
+        q[token] = -np.inf
+    return sorted(chosen)
 
 
 def disagreement(q_lm: DenseDistribution, prior: SparseDistribution, k: int = DEFAULT_TOP_K) -> float:
@@ -173,14 +302,14 @@ def disagreement(q_lm: DenseDistribution, prior: SparseDistribution, k: int = DE
     union = sorted(set(top_k_tokens(q_lm, k)) | set(prior.top_tokens(k)))
     lm_raw = [float(q_lm[token]) for token in union]
     trie_raw = [prior.probs.get(token, 0.0) for token in union]
-    if sum(lm_raw) <= 0.0 or sum(trie_raw) <= 0.0:
+    if left_sum(lm_raw) <= 0.0 or left_sum(trie_raw) <= 0.0:
         return 1.0  # degenerate support
     return min(1.0, root_jensen_shannon(lm_raw, trie_raw))
 
 
 def root_jensen_shannon(a: Sequence[float], b: Sequence[float]) -> float:
     """Root JS divergence (natural log) of two aligned lists, each normalized by its sum."""
-    mass_a, mass_b = sum(a), sum(b)
+    mass_a, mass_b = left_sum(a), left_sum(b)
     divergence = 0.0
     for weight_a, weight_b in zip(a, b):
         p = weight_a / mass_a
@@ -264,27 +393,27 @@ def fuse_step(
         if not 0 <= token < z.size:
             raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
 
-    q_base = softmax_with_temperature(z, 1.0)
-    c_lm = entropy_confidence(q_base)
+    c_lm = entropy_confidence(softmax_with_temperature(z, 1.0))
     # weight/probability validation tolerates 1e-9 of slack; keep the peak a
     # legal calibration target
     score_max = min(1.0, prior.max_prob())
     c_trie = score_max
     calibration = calibrate_temperature(z, score_max)
-    q_lm = softmax_with_temperature(z, calibration.temperature)
+    q_lm = calibration.probs
     omega = disagreement(q_lm, prior, top_k)
     continuity_value = continuity(run_length, continuity_scale)
     c_lm_adjusted, c_trie_adjusted = adjust_confidences(c_lm, c_trie, omega, continuity_value)
     denominator = c_lm_adjusted + c_trie_adjusted
     gamma = 0.5 if denominator == 0.0 else c_lm_adjusted / denominator
 
-    fused = gamma * q_lm
+    lm_top = int(np.argmax(q_lm))
+    fused = q_lm  # scaled in place: q_lm is not read again
+    fused *= gamma
     trie_share = 1.0 - gamma
     for token, prob in prior.probs.items():
         fused[token] += trie_share * prob
     chosen = int(np.argmax(fused))
 
-    lm_top = int(np.argmax(q_lm))
     streak = run_length + 1 if lm_top == prior.argmax_token() else 0
     diagnostics = StepDiagnostics(
         c_lm=c_lm,

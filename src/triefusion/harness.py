@@ -17,6 +17,7 @@ from .lm import LogitProvider
 from .metrics import MetricBundle, evaluate_pair
 from .prior import trie_prior
 from .stream import ConceptSpec, PlaceholderSpan, StreamItem
+from .summation import left_sum
 from .trie import PrefixTrie
 from .vocab import TokenId, VocabRegistry, detokenize
 
@@ -49,8 +50,8 @@ class ItemRecord:
             "metrics": self.metrics.as_dict(),
             "bypass_steps": self.bypass_steps,
             "steps": len(self.steps),
-            "mean_gamma": sum(s.gamma for s in self.steps) / count,
-            "mean_omega": sum(s.omega for s in self.steps) / count,
+            "mean_gamma": left_sum(s.gamma for s in self.steps) / count,
+            "mean_omega": left_sum(s.omega for s in self.steps) / count,
         }
 
 

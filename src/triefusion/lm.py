@@ -117,7 +117,8 @@ class NGramModel(LogitProvider):
         return probs
 
     def logits(self, prefix: Sequence[TokenId]) -> np.ndarray:
-        return np.log(self.probabilities(prefix))
+        probs = self.probabilities(prefix)
+        return np.log(probs, out=probs)
 
     def save(self, path) -> None:
         contexts = sorted(self._counts.items())

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyList, EmptyReference
+from .summation import left_sum
 
 METRIC_FIELDS = ("exact_match", "edit_similarity", "bleu", "rouge_l", "chrf")
 
@@ -117,7 +118,7 @@ def sentence_bleu(reference_tokens: Sequence[str], hypothesis_tokens: Sequence[s
         total = sum(hyp_counts.values())
         log_precisions.append(math.log((clipped + 1) / (total + 1)))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return brevity * math.exp(sum(log_precisions) / len(log_precisions))
+    return brevity * math.exp(left_sum(log_precisions) / len(log_precisions))
 
 
 def rouge_l(reference_tokens: Sequence[str], hypothesis_tokens: Sequence[str]) -> float:
@@ -148,8 +149,8 @@ def chrf(reference: str, hypothesis: str, max_order: int = 6, beta: float = 2.0)
         recalls.append(matches / ref_total if ref_total else 0.0)
     if not precisions:
         return 0.0
-    mean_p = sum(precisions) / len(precisions)
-    mean_r = sum(recalls) / len(recalls)
+    mean_p = left_sum(precisions) / len(precisions)
+    mean_r = left_sum(recalls) / len(recalls)
     denominator = beta * beta * mean_p + mean_r
     if denominator == 0:
         return 0.0
@@ -181,7 +182,7 @@ def aggregate(bundles: Sequence[MetricBundle]) -> MetricBundle:
         raise EmptyList("nothing to aggregate")
     count = len(bundles)
     return MetricBundle(
-        **{name: sum(getattr(b, name) for b in bundles) / count for name in METRIC_FIELDS}
+        **{name: left_sum(getattr(b, name) for b in bundles) / count for name in METRIC_FIELDS}
     )
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyCandidates
+from .summation import left_sum
 from .trie import FeatureTriple, PrefixTrie
 from .vocab import TokenId
 
@@ -64,7 +65,7 @@ class SparseDistribution:
         self.probs = dict(sorted(self.probs.items()))
         if not all(p >= 0 for p in self.probs.values()):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
-        total = sum(self.probs.values())
+        total = left_sum(self.probs.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
 
@@ -152,7 +153,7 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
     winner = min(token for token, score in scores.items() if score == score_max)
     if len(scores) == 1:
         return SparseDistribution({winner: 1.0})
-    rest_total = sum(score for token, score in scores.items() if token != winner)
+    rest_total = left_sum(score for token, score in scores.items() if token != winner)
     return SparseDistribution({
         token: score_max if token == winner else (1.0 - score_max) * score / rest_total
         for token, score in scores.items()

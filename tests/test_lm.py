@@ -59,6 +59,11 @@ class TestNGram:
         model = train_ngram([[0, 1, 2]], order=2, smoothing_k=0.5)
         np.testing.assert_allclose(np.exp(model.logits([0])), model.probabilities([0]))
 
+    def test_logits_are_the_exact_log_of_the_conditionals(self):
+        model = train_ngram([[0, 1, 2, 1], [2, 2, 0]], order=3, smoothing_k=0.3, vocab_size=40)
+        for prefix in ([], [0], [0, 1], [2, 2], [1, 1], [39]):
+            assert np.array_equal(model.logits(prefix), np.log(model.probabilities(prefix)))
+
     def test_determinism(self):
         model = train_ngram([[0, 1, 2], [0, 2, 1]], order=3, smoothing_k=0.1)
         np.testing.assert_array_equal(model.logits([0, 1]), model.logits([0, 1]))
