@@ -389,7 +389,8 @@ def fuse_step(
     if prior is None:
         return bypass_step(z)
     z = _checked_logits(z)
-    for token in prior.probs:
+    support = list(prior.probs)  # ascending, so its ends bound every token
+    for token in (support[0], support[-1]):
         if not 0 <= token < z.size:
             raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
 

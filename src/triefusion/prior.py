@@ -1,10 +1,11 @@
 """Turns trie lookups into a scored candidate set and a sparse distribution.
 
 For the current decoding prefix, every suffix shorter than the trie's n_max
-is looked up in the trie, longest first; each child of a matched path
-becomes one raw ``(token, FeatureTriple)`` candidate carrying that node's
-stored features. The raw features are then normalized across the whole
-collected set:
+is looked up in the trie, longest first, in one locked read
+(``PrefixTrie.suffix_columns``); each child of a matched path is one raw
+candidate, held as an entry of its suffix's token, frequency and recency
+columns, with the child depth shared by the suffix. The raw features are
+then normalized across the whole collected set:
 
 * frequency is log-damped and divided by the set maximum, so heavy counts
   cannot swamp the other signals;
@@ -15,7 +16,10 @@ collected set:
   giving the freshest candidate exactly 1 while older ones stay positive.
 
 The final score is the convex combination of the three normalized features
-under the configured weights, so it always lands in (0, 1]. A token reached
+under the configured weights, so it always lands in (0, 1]. A step's ~100
+candidates carry only a few distinct frequencies and recencies, so each
+weighted feature term is computed once per distinct value (the length term
+once per suffix) and every score is their sum, left to right. A token reached
 through several suffixes keeps its best score. The distribution keeps the
 top score as the top token's probability and splits the remaining mass
 among the rest proportionally to their scores.
@@ -29,7 +33,7 @@ from typing import Sequence
 
 from .errors import EmptyCandidates
 from .summation import left_sum
-from .trie import FeatureTriple, PrefixTrie
+from .trie import PrefixTrie, SuffixColumns
 from .vocab import TokenId
 
 
@@ -62,7 +66,8 @@ class SparseDistribution:
     def __post_init__(self):
         if not self.probs:
             raise ValueError("sparse distribution needs at least one entry")
-        self.probs = dict(sorted(self.probs.items()))
+        probs = self.probs
+        self.probs = {token: probs[token] for token in sorted(probs)}
         if not all(p >= 0 for p in self.probs.values()):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = left_sum(self.probs.values())
@@ -77,35 +82,46 @@ class SparseDistribution:
         return max(self.probs, key=self.probs.__getitem__)
 
     def top_tokens(self, k: int) -> list[TokenId]:
-        """Up to ``k`` positive-mass tokens, highest probability first, ties by id."""
-        ranked = sorted(
-            ((token, prob) for token, prob in self.probs.items() if prob > 0),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return [token for token, _ in ranked[:k]]
+        """Up to ``k`` positive-mass tokens, highest probability first, ties by id.
+
+        The sort is stable and the keys are ascending, so equal probabilities
+        keep the smaller id first; zero mass sorts last, so dropping it after
+        the cut leaves the same tokens as dropping it before.
+        """
+        probs = self.probs
+        ranked = sorted(probs, key=probs.__getitem__, reverse=True)[:k]
+        return [token for token in ranked if probs[token] > 0]
 
 
-def collect_candidates(
-    trie: PrefixTrie, prefix: Sequence[TokenId]
-) -> list[tuple[TokenId, FeatureTriple]]:
-    """Union of next-token lookups for every suffix of ``prefix`` shorter than n_max.
+class RawCandidates:
+    """Every (token, matched suffix) entry of one step, as per-suffix node columns.
 
-    Longest suffix first, each node's children in insertion order. A suffix
-    of n_max or more tokens always ends at a leaf (paths stop at depth
-    n_max), so each step walks at most n_max - 1 suffixes whatever the
-    prefix length.
+    ``len()`` is the raw entry count over all suffixes, so a token reached
+    through several suffixes counts once per suffix.
     """
-    prefix = list(prefix)
-    if not prefix:
+
+    __slots__ = ("columns", "count")
+
+    def __init__(self, columns: list[SuffixColumns]):
+        self.columns = columns
+        self.count = sum(len(group.tokens) for group in columns)
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def collect_candidates(trie: PrefixTrie, prefix: Sequence[TokenId]) -> RawCandidates:
+    """Children of every suffix of ``prefix`` shorter than n_max, from one locked trie read.
+
+    Longest suffix first, each node's children in insertion order.
+    """
+    if len(prefix) == 0:
         raise ValueError("prefix must be non-empty")
-    raw: list[tuple[TokenId, FeatureTriple]] = []
-    for length in range(min(len(prefix), trie.config.n_max - 1), 0, -1):
-        raw += trie.next_tokens(prefix[len(prefix) - length :])
-    return raw
+    return RawCandidates(trie.suffix_columns(prefix))
 
 
 def score_candidates(
-    raw: Sequence[tuple[TokenId, FeatureTriple]],
+    raw: RawCandidates,
     prefix_len: int,
     now: float,
     weights: ScoringWeights = DEFAULT_WEIGHTS,
@@ -114,29 +130,41 @@ def score_candidates(
 
     Two passes: the maxima are taken only after everything is gathered, as
     normalizing inside the collection loop would divide by a moving maximum.
+    Each feature term is computed once per distinct column value (a step
+    sees a few distinct frequencies and recencies among ~100 entries); the
+    extremes over distinct values are those over all entries.
     """
     if not raw:
         raise EmptyCandidates("no raw candidates to score")
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
+    columns = raw.columns
+    frequencies, recencies = set(), set()
+    for group in columns:
+        frequencies.update(group.frequencies)
+        recencies.update(group.recencies)
 
-    damped = [math.log1p(features.frequency) for _, features in raw]
-    damped_max = max(damped)
-    gaps = [now - features.recency for _, features in raw]
-    gap_base = min(gaps)
-    shifted = [gap - gap_base for gap in gaps]
-    gap_max = max(shifted)
+    damped = {freq: math.log1p(freq) for freq in frequencies}
+    damped_max = max(damped.values())
+    frequency_term = {freq: weights.frequency * (d / damped_max) for freq, d in damped.items()}
+    # float subtraction rounds monotonically, so the newest recency gives the
+    # smallest gap and the oldest the widest shifted gap
+    gap_base = now - max(recencies)
+    gap_max = (now - min(recencies)) - gap_base
+    recency_term = {
+        recency: weights.recency * (
+            1.0 if gap_max == 0 else math.exp(-((now - recency) - gap_base) / gap_max))
+        for recency in recencies
+    }
 
     best: dict[TokenId, float] = {}
-    for (token, features), freq_damped, gap in zip(raw, damped, shifted):
-        score = (
-            weights.frequency * (freq_damped / damped_max)
-            + weights.length * min(1.0, features.depth / prefix_len)
-            + weights.recency * (1.0 if gap_max == 0 else math.exp(-gap / gap_max))
-        )
-        current = best.get(token)
-        if current is None or score > current:
-            best[token] = score
+    for group in columns:
+        length_term = weights.length * min(1.0, group.depth / prefix_len)
+        for token, freq, recency in zip(group.tokens, group.frequencies, group.recencies):
+            score = frequency_term[freq] + length_term + recency_term[recency]
+            current = best.get(token)
+            if current is None or score > current:
+                best[token] = score
     return best
 
 
@@ -154,10 +182,10 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
     if len(scores) == 1:
         return SparseDistribution({winner: 1.0})
     rest_total = left_sum(score for token, score in scores.items() if token != winner)
-    return SparseDistribution({
-        token: score_max if token == winner else (1.0 - score_max) * score / rest_total
-        for token, score in scores.items()
-    })
+    share = 1.0 - score_max
+    probs = {token: share * score / rest_total for token, score in scores.items()}
+    probs[winner] = score_max
+    return SparseDistribution(probs)
 
 
 def trie_prior(

@@ -11,10 +11,16 @@ Nodes are integer ids into three per-node columns, node 0 being the root: a
 list of child maps (token -> node id) and plain lists of frequency and
 recency. A node's token is its key in its parent's map and its depth is the
 length of its path, so neither is stored. Child maps keep insertion order,
-which fixes the preorder of snapshots and the order of ``next_tokens``. A
-map that holds only ints is not tracked by the garbage collector, so the
-trie adds three tracked objects (its column lists) however many nodes it
-holds.
+which fixes the preorder of snapshots and the order of lookups. A map that
+holds only ints is not tracked by the garbage collector, so the trie adds
+three tracked objects (its column lists) however many nodes it holds.
+
+Lookups read the same columns. ``suffix_columns`` serves the decoding prior:
+one walk per suffix of the prefix shorter than n_max, all under one lock
+hold, returning per matched suffix the child depth and the children's
+tokens, frequencies and recencies as plain lists, with no per-child object.
+``next_tokens`` is the one-suffix case of that walk, with one
+``FeatureTriple`` per child.
 
 Insertion touches O(len * n_max) nodes regardless of how many sequences the
 trie already holds. The trie takes an internal lock around mutation and
@@ -45,7 +51,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorruptSnapshot, EmptySequence, TimestampRegression, VersionMismatch
 from .vocab import TokenId
@@ -54,6 +60,7 @@ SNAPSHOT_MAGIC = b"PTR1"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sHIdQQI")
 _NODE = struct.Struct("<IQIdI")
+N_MAX_CAP = 0xFFFFFFFF  # the header's n_max field
 
 
 class FeatureTriple(NamedTuple):
@@ -64,15 +71,30 @@ class FeatureTriple(NamedTuple):
     recency: float
 
 
+class SuffixColumns(NamedTuple):
+    """The children of one matched suffix: their shared depth and three parallel columns."""
+
+    depth: int
+    tokens: list[TokenId]
+    frequencies: list[int]
+    recencies: list[float]
+
+
 @dataclass(frozen=True)
 class TrieConfig:
-    """Maximum inserted n-gram length; windows of 1 alone cannot predict."""
+    """Maximum inserted n-gram length; windows of 1 alone cannot predict.
+
+    The snapshot header stores n_max as an unsigned 32-bit field, so it is
+    capped at ``N_MAX_CAP``.
+    """
 
     n_max: int = 5
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        if self.n_max > N_MAX_CAP:
+            raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max}")
 
 
 class TrieStats(NamedTuple):
@@ -132,22 +154,56 @@ class PrefixTrie:
             self._total_insertions += len(tokens)
         return visits
 
+    def _matches(
+        self, context: Sequence[TokenId], lengths: Iterable[int]
+    ) -> Iterator[tuple[int, dict[TokenId, int]]]:
+        """``(child depth, child map)`` per suffix length whose suffix ends at a parent node.
+
+        The caller holds the lock.
+        """
+        children = self._children
+        for length in lengths:
+            node = 0
+            for token in context[len(context) - length :]:
+                node = children[node].get(token)
+                if node is None:
+                    break
+            else:
+                if children[node]:
+                    yield length + 1, children[node]
+
     def next_tokens(self, suffix: Sequence[TokenId]) -> list[tuple[TokenId, FeatureTriple]]:
         """Children of the node reached by ``suffix`` with their stored features.
 
         An absent path is an empty result, not an error; the empty suffix
         yields the root's children.
         """
+        suffix = list(suffix)
+        frequency, recency = self._frequency, self._recency
         with self._lock:
-            node = 0
-            for token in suffix:
-                node = self._children[node].get(token)
-                if node is None:
-                    return []
-            frequency, recency, depth = self._frequency, self._recency, len(suffix) + 1
             return [
                 (token, FeatureTriple(frequency[child], depth, recency[child]))
-                for token, child in self._children[node].items()
+                for depth, kids in self._matches(suffix, (len(suffix),))
+                for token, child in kids.items()
+            ]
+
+    def suffix_columns(self, context: Sequence[TokenId]) -> list[SuffixColumns]:
+        """Children of every suffix of ``context`` shorter than n_max, as columns.
+
+        Longest suffix first, children in insertion order; suffixes that end
+        at a leaf or match nothing are left out. A suffix of n_max or more
+        tokens always ends at a leaf (paths stop at depth n_max), so at most
+        n_max - 1 suffixes are walked. The whole read is one lock hold, so an
+        insert lands before or after it, never between two suffixes.
+        """
+        context = list(context)
+        frequency, recency = self._frequency, self._recency
+        with self._lock:
+            return [
+                SuffixColumns(depth, list(kids), list(map(frequency.__getitem__, kids.values())),
+                              list(map(recency.__getitem__, kids.values())))
+                for depth, kids in self._matches(
+                    context, range(min(len(context), self.config.n_max - 1), 0, -1))
             ]
 
     def stats(self) -> TrieStats:

@@ -4,7 +4,9 @@ These are ``softmax_with_temperature``, ``entropy_confidence``,
 ``calibrate_temperature`` (plain bisection, one ``exp`` pass per evaluated
 temperature) and ``top_k_tokens`` (one ``np.partition``) as they stood
 before the calibration replay, the shared ``q_lm`` row and the argmax top-k,
-kept verbatim so tests can assert ``==`` against the production path.
+and ``fuse_step`` as it stood before it range-checked only the ends of the
+prior's support and ranked the prior's top tokens by a keyed sort, kept
+verbatim so tests can assert ``==`` against the production path.
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import prior_ref
+from triefusion import fusion
 from triefusion.errors import NonPositiveTemperature
 from triefusion.fusion import (
     BRACKET_HI,
     BRACKET_LO,
+    CONTINUITY_SCALE,
+    DEFAULT_TOP_K,
     TEMPERATURE_CEIL,
     TEMPERATURE_FLOOR,
     DenseDistribution,
     LogitVector,
+    StepDiagnostics,
 )
+from triefusion.prior import SparseDistribution
+from triefusion.summation import left_sum
 from triefusion.vocab import TokenId
 
 
@@ -124,3 +133,65 @@ def top_k_tokens(q: DenseDistribution, k: int) -> list[TokenId]:
     ties = np.flatnonzero(q == kth_value)
     chosen = np.concatenate([above, ties[: k - above.size]])
     return sorted(int(t) for t in chosen)
+
+
+def disagreement(q_lm: DenseDistribution, prior: SparseDistribution, k: int) -> float:
+    """``fusion.disagreement`` with the prior's top tokens from ``prior_ref.top_tokens``."""
+    q_lm = np.asarray(q_lm, dtype=float)
+    union = sorted(set(fusion.top_k_tokens(q_lm, k)) | set(prior_ref.top_tokens(prior.probs, k)))
+    lm_raw = [float(q_lm[token]) for token in union]
+    trie_raw = [prior.probs.get(token, 0.0) for token in union]
+    if left_sum(lm_raw) <= 0.0 or left_sum(trie_raw) <= 0.0:
+        return 1.0  # degenerate support
+    return min(1.0, fusion.root_jensen_shannon(lm_raw, trie_raw))
+
+
+def fuse_step(
+    z: LogitVector,
+    prior: SparseDistribution | None,
+    run_length: int = 0,
+    top_k: int = DEFAULT_TOP_K,
+    continuity_scale: float = CONTINUITY_SCALE,
+) -> tuple[TokenId, StepDiagnostics, int]:
+    """One step after a streak of ``run_length``; returns (token, diagnostics, new streak)."""
+    if prior is None:
+        return fusion.bypass_step(z)
+    z = fusion._checked_logits(z)
+    for token in prior.probs:
+        if not 0 <= token < z.size:
+            raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
+
+    c_lm = fusion.entropy_confidence(fusion.softmax_with_temperature(z, 1.0))
+    score_max = min(1.0, prior.max_prob())
+    c_trie = score_max
+    calibration = fusion.calibrate_temperature(z, score_max)
+    q_lm = calibration.probs
+    omega = disagreement(q_lm, prior, top_k)
+    continuity_value = fusion.continuity(run_length, continuity_scale)
+    c_lm_adjusted, c_trie_adjusted = fusion.adjust_confidences(
+        c_lm, c_trie, omega, continuity_value)
+    denominator = c_lm_adjusted + c_trie_adjusted
+    gamma = 0.5 if denominator == 0.0 else c_lm_adjusted / denominator
+
+    lm_top = int(np.argmax(q_lm))
+    fused = q_lm
+    fused *= gamma
+    trie_share = 1.0 - gamma
+    for token, prob in prior.probs.items():
+        fused[token] += trie_share * prob
+    chosen = int(np.argmax(fused))
+
+    streak = run_length + 1 if lm_top == prior.argmax_token() else 0
+    diagnostics = StepDiagnostics(
+        c_lm=c_lm,
+        c_trie=c_trie,
+        c_lm_adjusted=c_lm_adjusted,
+        c_trie_adjusted=c_trie_adjusted,
+        omega=omega,
+        continuity=continuity_value,
+        gamma=gamma,
+        temperature=calibration.temperature,
+        temperature_clamped=calibration.clamped,
+        bypass=False,
+    )
+    return chosen, diagnostics, streak

@@ -139,6 +139,15 @@ def trie_prior(
     return top_preserving_distribution(score_candidates(raw, len(prefix), now, weights))
 
 
+def top_tokens(probs: dict[TokenId, float], k: int) -> list[TokenId]:
+    """``SparseDistribution.top_tokens`` as it stood: positive mass sorted by (-prob, token)."""
+    ranked = sorted(
+        ((token, prob) for token, prob in probs.items() if prob > 0),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return [token for token, _ in ranked[:k]]
+
+
 def argmax_token(probs: dict[TokenId, float]) -> TokenId:
     """``SparseDistribution.argmax_token`` as it stood: a scan in sorted token order."""
     best_token, best_prob = -1, -1.0

@@ -148,9 +148,8 @@ def test_criterion_3_oracle_equivalence():
             raw = collect_candidates(trie, prefix)
             expected_raw = scan.candidates(prefix)
             # a candidate one token past a suffix of length s sits at depth s + 1
-            assert {(token, features.depth - 1) for token, features in raw} == {
-                (t, s) for t, _, _, _, s in expected_raw
-            }
+            found = {(token, group.depth - 1) for group in raw.columns for token in group.tokens}
+            assert found == {(t, s) for t, _, _, _, s in expected_raw}
             if not raw:
                 continue
             scored = score_candidates(raw, len(prefix), now)

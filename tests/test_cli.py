@@ -19,7 +19,7 @@ from triefusion.cli import (
 from triefusion.harness import warm_start
 from triefusion.lm import train_ngram
 from triefusion.prior import ScoringWeights
-from triefusion.trie import PrefixTrie
+from triefusion.trie import N_MAX_CAP, PrefixTrie
 
 
 @pytest.fixture(scope="module")
@@ -578,6 +578,20 @@ class TestSettingsTable:
         assert main(["compare", "--scenario", str(small_scenario), "--n-max", "0",
                      "--out-dir", str(tmp_path / "cmp")]) == 2
         assert not (tmp_path / "cmp").exists()
+
+    def test_n_max_past_snapshot_field_rejected_before_decoding(self, tmp_path, small_scenario,
+                                                               capsys):
+        out, saved = tmp_path / "o.jsonl", tmp_path / "t.bin"
+        assert main(["run", "--scenario", str(small_scenario), "--n-max", str(N_MAX_CAP + 1),
+                     "--out", str(out), "--save-trie", str(saved)]) == 2
+        assert f"n_max must be <= {N_MAX_CAP}" in capsys.readouterr().err
+        assert not out.exists() and not saved.exists()
+
+    def test_n_max_at_snapshot_field_cap_round_trips(self, tmp_path, small_scenario):
+        out, saved = tmp_path / "o.jsonl", tmp_path / "t.bin"
+        assert main(["run", "--scenario", str(small_scenario), "--n-max", str(N_MAX_CAP),
+                     "--max-new-tokens", "2", "--out", str(out), "--save-trie", str(saved)]) == 0
+        assert PrefixTrie.restore(saved.read_bytes()).config.n_max == N_MAX_CAP
 
     @pytest.mark.parametrize("name", ["telco-abrupt", "telco-incremental", "telco-gradual"])
     def test_unset_flags_take_scenario_values(self, name):

@@ -1,8 +1,10 @@
 """The fusion primitives against verbatim copies of their plain versions (``fusion_ref``).
 
 Calibration replays the bisection from a Newton-seeded bracket, ``q_lm`` is
-the accepted evaluation's own exp row, and top-k takes k argmax passes; every
-one of them must give the plain versions' floats, flags and token ids exactly.
+the accepted evaluation's own exp row, and top-k takes k argmax passes; the
+prior's top tokens come from a keyed stable sort and ``fuse_step`` checks
+only the ends of the prior's ascending support. Every one of them must give
+the plain versions' floats, flags and token ids exactly.
 """
 
 import math
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusion_ref as ref
+import prior_ref
 
 from triefusion.fusion import (
     calibrate_temperature,
     entropy_confidence,
+    fuse_step,
     softmax_with_temperature,
     top_k_tokens,
 )
+from triefusion.prior import SparseDistribution
 
 # vocabulary size -> rows of each size in the mixed sweep (10,200 in all)
 ROW_MIX = {2: 3000, 3: 3000, 29: 3000, 2048: 900, 32768: 300}
@@ -177,3 +182,58 @@ def test_calibration_leaves_its_input_alone():
     result = calibrate_temperature(z, 0.6)
     assert np.array_equal(z, [1.0, 3.0, 2.0])
     assert math.isclose(float(result.probs.max()), 0.6, abs_tol=1e-9)
+
+
+# token -> small integer weight: tied and zero-mass prior entries are common
+_PRIOR_WEIGHTS = st.dictionaries(st.integers(min_value=0, max_value=60),
+                                 st.integers(min_value=0, max_value=4),
+                                 min_size=1, max_size=24).filter(lambda w: sum(w.values()) > 0)
+
+
+def _sparse_prior(weights):
+    total = sum(weights.values())
+    return SparseDistribution({token: weight / total for token, weight in weights.items()})
+
+
+@given(_PRIOR_WEIGHTS)
+@settings(max_examples=300, deadline=None)
+def test_prior_top_tokens_match_the_plain_sort(weights):
+    prior = _sparse_prior(weights)
+    for k in (1, 5, len(weights) + 2):
+        assert prior.top_tokens(k) == prior_ref.top_tokens(prior.probs, k)
+
+
+@given(_PRIOR_WEIGHTS, st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["normal", "integer", "tied"]), st.integers(min_value=0, max_value=6),
+       st.sampled_from([1, 5, 26]))
+@settings(max_examples=300, deadline=None)
+def test_fuse_step_matches_the_plain_loops(weights, seed, kind, run_length, top_k):
+    z = _logit_row(np.random.default_rng(seed), 61, kind)
+    prior = _sparse_prior(weights)
+    assert fuse_step(z.copy(), prior, run_length, top_k) == ref.fuse_step(
+        z.copy(), prior, run_length, top_k)
+
+
+def test_fuse_step_matches_the_plain_loops_on_wide_supports():
+    # large-trie-sized supports (about 110 tokens) over a 2,048-token vocabulary
+    rng = np.random.default_rng(20261018)
+    for i in range(200):
+        z = _logit_row(rng, 2048, ("normal", "integer", "tied")[i % 3])
+        support = rng.choice(2048, size=int(rng.integers(1, 130)), replace=False)
+        weights = {int(t): int(w) for t, w in zip(support, rng.integers(0, 5, support.size))}
+        weights[int(support[0])] += 1  # some mass
+        prior = _sparse_prior(weights)
+        run_length = int(rng.integers(0, 6))
+        assert fuse_step(z.copy(), prior, run_length) == ref.fuse_step(
+            z.copy(), prior, run_length)
+
+
+@pytest.mark.parametrize("support", [
+    {-1: 0.5, 3: 0.5}, {3: 0.5, 29: 0.5}, {-1: 1.0}, {29: 1.0}, {-1: 0.2, 5: 0.3, 29: 0.5},
+])
+def test_prior_token_outside_vocabulary_rejected(support):
+    z = np.linspace(0.0, 1.0, 29)
+    prior = SparseDistribution(support)
+    for step in (fuse_step, ref.fuse_step):
+        with pytest.raises(ValueError, match="outside vocabulary of 29"):
+            step(z, prior)

@@ -9,6 +9,7 @@ from bruteforce import NgramScan, bf_scores, bf_top_preserving
 from conftest import T_NEW
 from triefusion.errors import EmptyCandidates
 from triefusion.prior import (
+    RawCandidates,
     ScoringWeights,
     SparseDistribution,
     collect_candidates,
@@ -16,7 +17,7 @@ from triefusion.prior import (
     top_preserving_distribution,
     trie_prior,
 )
-from triefusion.trie import FeatureTriple, PrefixTrie
+from triefusion.trie import FeatureTriple, PrefixTrie, SuffixColumns
 from triefusion.vocab import tokenize
 
 THIRD = ScoringWeights()
@@ -25,13 +26,32 @@ ONE_HOT = (ScoringWeights(1, 0, 0), ScoringWeights(0, 1, 0), ScoringWeights(0, 0
 LENGTH_ONLY = ONE_HOT[1]
 
 
-def _raw(token, freq, depth, recency):
-    return (token, FeatureTriple(freq, depth, recency))
+def _raw(*rows):
+    """Raw candidates from ``(token, frequency, depth, recency)`` rows, in order.
+
+    Consecutive rows of one depth share a suffix's columns, as the children
+    of one matched suffix do.
+    """
+    columns = []
+    for token, freq, depth, recency in rows:
+        if not columns or columns[-1].depth != depth:
+            columns.append(SuffixColumns(depth, [], [], []))
+        columns[-1].tokens.append(token)
+        columns[-1].frequencies.append(freq)
+        columns[-1].recencies.append(recency)
+    return RawCandidates(columns)
+
+
+def _rows(raw):
+    """The raw candidates flattened back to ``(token, FeatureTriple)`` pairs, in order."""
+    return [(token, FeatureTriple(freq, group.depth, recency))
+            for group in raw.columns
+            for token, freq, recency in zip(group.tokens, group.frequencies, group.recencies)]
 
 
 def _suffix_lens(raw):
     """(token, matched suffix length): a child one past a suffix of length s has depth s + 1."""
-    return {(token, features.depth - 1) for token, features in raw}
+    return {(token, features.depth - 1) for token, features in _rows(raw)}
 
 
 class TestWeights:
@@ -68,13 +88,14 @@ class TestCollect:
     def test_shorter_prefix(self, two_sentence_world):
         registry, trie = two_sentence_world
         raw = collect_candidates(trie, tokenize("your plan", registry))
-        depths = {(token, features.depth) for token, features in raw}
+        depths = {(token, features.depth) for token, features in _rows(raw)}
         assert (registry.id_of("4G"), 3) in depths  # via the your->plan path
         assert (registry.id_of("5G"), 3) in depths
 
     def test_unseen_prefix(self, two_sentence_world):
         _, trie = two_sentence_world
-        assert collect_candidates(trie, [404]) == []
+        raw = collect_candidates(trie, [404])
+        assert len(raw) == 0 and raw.columns == []
 
     def test_empty_prefix_rejected(self, two_sentence_world):
         _, trie = two_sentence_world
@@ -84,17 +105,32 @@ class TestCollect:
     def test_walks_only_suffixes_shorter_than_n_max(self, monkeypatch):
         trie = PrefixTrie(n_max=3)
         walked = []
-        monkeypatch.setattr(trie, "next_tokens",
-                            lambda suffix: walked.append(len(suffix)) or [])
+        matches = trie._matches
+
+        def spy(context, lengths):
+            lengths = list(lengths)
+            walked.extend(lengths)
+            return matches(context, lengths)
+
+        monkeypatch.setattr(trie, "_matches", spy)
         collect_candidates(trie, [0] * 20)
         assert walked == [2, 1]
+
+    def test_len_counts_every_suffix_entry(self):
+        trie = PrefixTrie(n_max=4)
+        trie.insert_sequence([0, 1, 2], 1.0)
+        trie.insert_sequence([1, 3], 2.0)
+        raw = collect_candidates(trie, [0, 1])
+        # suffix [0, 1] -> {2}; suffix [1] -> {2, 3}: token 2 counts twice
+        assert [(group.depth, group.tokens) for group in raw.columns] == [(3, [2]), (2, [2, 3])]
+        assert len(raw) == 3
 
     def test_long_prefix_matches_uncapped_walk(self):
         trie = PrefixTrie(n_max=3)
         trie.insert_sequence([0] * 8, 1.0)
         trie.insert_sequence([1, 0, 0, 2], 2.0)
         prefix = [1, 0, 0, 0, 0]
-        assert collect_candidates(trie, prefix) == [
+        assert _rows(collect_candidates(trie, prefix)) == [
             (token, features)
             for length in range(len(prefix), 0, -1)
             for token, features in trie.next_tokens(prefix[-length:])
@@ -117,45 +153,42 @@ class TestScore:
         assert old_parts == pytest.approx([1.0, 1.0, math.exp(-1)])
 
     def test_single_candidate_degenerate_normalizers(self):
-        raw = [_raw(5, 3, 2, 100.0)]
+        raw = _raw((5, 3, 2, 100.0))
         parts = [score_candidates(raw, 4, 250.0, w)[5] for w in ONE_HOT]
         assert parts == [1.0, 0.5, 1.0]  # gap shift makes it freshest
         assert 0.0 < score_candidates(raw, 4, 250.0, THIRD)[5] <= 1.0
 
     def test_identical_features_tie(self):
-        raw = [_raw(1, 2, 2, 50.0), _raw(2, 2, 2, 50.0)]
+        raw = _raw((1, 2, 2, 50.0), (2, 2, 2, 50.0))
         scored = score_candidates(raw, 3, 60.0, THIRD)
         assert scored[1] == scored[2]
 
     def test_dedup_keeps_best_suffix(self):
         # same token via two suffixes: the higher-scoring entry survives
-        raw = [
-            _raw(7, 5, 4, 100.0),
-            _raw(7, 5, 1, 100.0),
-            _raw(8, 2, 4, 60.0),
-        ]
+        rows = [(7, 5, 4, 100.0), (7, 5, 1, 100.0), (8, 2, 4, 60.0)]
+        raw = _raw(*rows)
         scored = score_candidates(raw, 4, 100.0, THIRD)
         assert score_candidates(raw, 4, 100.0, LENGTH_ONLY)[7] == 1.0  # depth 4 of 4
-        deep_only = score_candidates([raw[0], raw[2]], 4, 100.0, THIRD)
+        deep_only = score_candidates(_raw(rows[0], rows[2]), 4, 100.0, THIRD)
         assert scored[7] == pytest.approx(deep_only[7])
         assert list(scored) == [7, 8]  # first-seen token order
 
     def test_empty_raw_rejected(self):
         with pytest.raises(EmptyCandidates):
-            score_candidates([], 3, 10.0, THIRD)
+            score_candidates(_raw(), 3, 10.0, THIRD)
 
     def test_length_clamped_at_one(self):
-        scored = score_candidates([_raw(1, 1, 9, 5.0)], 2, 9.0, LENGTH_ONLY)
+        scored = score_candidates(_raw((1, 1, 9, 5.0)), 2, 9.0, LENGTH_ONLY)
         assert scored[1] == 1.0
 
     def test_score_monotone_in_frequency(self):
-        low = score_candidates([_raw(1, 2, 2, 5.0), _raw(2, 9, 2, 5.0)], 3, 9.0, THIRD)
-        high = score_candidates([_raw(1, 5, 2, 5.0), _raw(2, 9, 2, 5.0)], 3, 9.0, THIRD)
+        low = score_candidates(_raw((1, 2, 2, 5.0), (2, 9, 2, 5.0)), 3, 9.0, THIRD)
+        high = score_candidates(_raw((1, 5, 2, 5.0), (2, 9, 2, 5.0)), 3, 9.0, THIRD)
         assert high[1] >= low[1]
 
     def test_recency_shift_invariance(self):
-        raw = [_raw(1, 2, 2, 50.0), _raw(2, 4, 2, 980.0)]
-        moved = [_raw(1, 2, 2, 50.0 + 123.0), _raw(2, 4, 2, 980.0 + 123.0)]
+        raw = _raw((1, 2, 2, 50.0), (2, 4, 2, 980.0))
+        moved = _raw((1, 2, 2, 50.0 + 123.0), (2, 4, 2, 980.0 + 123.0))
         a = score_candidates(raw, 3, 1000.0, THIRD)
         b = score_candidates(moved, 3, 1123.0, THIRD)
         for token in (1, 2):
@@ -262,8 +295,8 @@ class TestPipelineOracle:
 )
 @settings(max_examples=120)
 def test_scores_stay_in_unit_interval(rows, prefix_len, now_offset):
-    raw = [_raw(*row) for row in rows]
-    now = max(features.recency for _, features in raw) + now_offset
+    raw = _raw(*rows)
+    now = max(recency for _, _, _, recency in rows) + now_offset
     for weights in (THIRD, *ONE_HOT):
         for score in score_candidates(raw, prefix_len, now, weights).values():
             assert 0.0 < score <= 1.0
@@ -293,42 +326,103 @@ def test_top_preserving_properties(scores):
             assert dist.max_prob() == pytest.approx(peak, abs=1e-12)
 
 
+# gaps and decode delays of exactly 0 give equal recencies and gap_max == 0
+_STAMP_GAP = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0))
+_DECODE_DELAY = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0))
+
+
 @st.composite
 def _prior_world(draw):
-    """A trie (fresh and restored from its snapshot), prefixes up to 3 * n_max, weights."""
+    """A trie (fresh and restored from its snapshot), prefixes up to 3 * n_max, weights.
+
+    A vocabulary of 1 or 2 tokens makes single candidates, equal frequencies
+    and tokens reached through several suffixes common.
+    """
     n_max = draw(st.integers(min_value=2, max_value=7))
-    vocab = draw(st.integers(min_value=2, max_value=8))
+    vocab = draw(st.integers(min_value=1, max_value=8))
     token = st.integers(min_value=0, max_value=vocab - 1)
     trie = PrefixTrie(n_max=n_max)
     stamp = 0.0
     for gap, seq in draw(st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=50.0),
-                  st.lists(token, min_size=1, max_size=3 * n_max)),
+        st.tuples(_STAMP_GAP, st.lists(token, min_size=1, max_size=3 * n_max)),
         min_size=1, max_size=12,
     )):
         stamp = max(stamp + gap, 1.0)
         trie.insert_sequence(seq, stamp)
     prefixes = draw(st.lists(st.lists(token, min_size=1, max_size=3 * n_max),
                              min_size=1, max_size=6))
-    now = stamp + draw(st.floats(min_value=0.0, max_value=100.0))
+    now = stamp + draw(_DECODE_DELAY)
     frequency = draw(st.floats(min_value=0.0, max_value=0.5))
     length = draw(st.floats(min_value=0.0, max_value=0.5))
     weights = ScoringWeights(frequency, length, 1.0 - frequency - length)
     return trie, PrefixTrie.restore(trie.snapshot()), prefixes, now, weights
 
 
-@given(_prior_world())
-@settings(max_examples=150, deadline=None)
-def test_pipeline_equals_reference(world):
-    trie, restored, prefixes, now, weights = world
+def _assert_matches_reference(trie, restored, prefixes, now, weights):
     for prefix in prefixes:
         expected = prior_ref.trie_prior(trie, prefix, now, weights)
+        raw_count = len(prior_ref.collect_candidates(trie, prefix))
         for served in (trie, restored):
+            assert len(collect_candidates(served, prefix)) == raw_count
             got = trie_prior(served, prefix, now, weights)
             if expected is None:
                 assert got is None
             else:
                 assert list(got.probs.items()) == list(expected.probs.items())
+
+
+@given(_prior_world())
+@settings(max_examples=150, deadline=None)
+def test_pipeline_equals_reference(world):
+    _assert_matches_reference(*world)
+
+
+def _world(n_max, inserts, prefixes, now, weights=THIRD):
+    trie = PrefixTrie(n_max=n_max)
+    for seq, stamp in inserts:
+        trie.insert_sequence(seq, stamp)
+    return trie, PrefixTrie.restore(trie.snapshot()), prefixes, now, weights
+
+
+@pytest.mark.parametrize("world", [
+    # equal frequencies and recencies across every suffix's children
+    _world(4, [([0, 1, 2, 0, 1, 3], 5.0), ([2, 0, 1, 4], 5.0)], [[0, 1], [2, 0, 1], [1]], 9.0),
+    # decoded at the one stored time: every gap is 0, so gap_max == 0
+    _world(3, [([0, 1, 2], 7.0), ([1, 2, 2], 7.0), ([3, 1], 7.0)], [[0, 1], [1], [2]], 7.0),
+    # a single candidate
+    _world(2, [([5, 6], 3.0)], [[5]], 4.0),
+    # one token reached through several suffixes, with different features
+    _world(5, [([0, 0, 0, 0, 0, 1], 1.0), ([0, 0, 1], 2.0), ([0, 1], 3.0)],
+           [[0, 0, 0, 0], [0, 0], [0]], 3.5, ScoringWeights(0.2, 0.5, 0.3)),
+], ids=["equal-features", "zero-gaps", "single-candidate", "shared-token"])
+def test_pipeline_equals_reference_on_memoised_paths(world):
+    _assert_matches_reference(*world)
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self, lock):
+        self.lock, self.acquired = lock, 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_one_lock_hold_per_prior():
+    trie = PrefixTrie(n_max=5)
+    trie.insert_sequence([0, 1, 2, 3, 4, 5], 1.0)
+    trie.insert_sequence([2, 3, 9], 2.0)
+    trie._lock = lock = _CountingLock(trie._lock)
+    prefix = [0, 1, 2, 3]
+    assert {group.depth for group in collect_candidates(trie, prefix).columns} == {5, 4, 3, 2}
+    lock.acquired = 0
+    assert trie_prior(trie, prefix, 3.0) is not None
+    assert lock.acquired == 1
 
 
 @given(st.dictionaries(st.integers(min_value=0, max_value=60),
