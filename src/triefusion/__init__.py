@@ -37,7 +37,7 @@ from .stream import (
     generate_stream,
     lexical_drift_telemetry,
 )
-from .trie import FeatureTriple, PrefixTrie, TrieConfig
+from .trie import PrefixTrie, TrieConfig
 from .vocab import VocabRegistry, detokenize, tokenize
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "DecoderConfig",
     "DriftSchedule",
     "ExternalLogitProvider",
-    "FeatureTriple",
     "MetricBundle",
     "NGramModel",
     "PrefixTrie",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .errors import ConfigError, TrieFusionError
+from .errors import MISSING, ConfigError, TrieFusionError, typed, typed_items
 from .fusion import (
     CONTINUITY_SCALE,
     DEFAULT_TOP_K,
@@ -61,7 +60,7 @@ from .stream import (
 )
 from .summation import left_sum
 from .trie import PrefixTrie, TrieConfig
-from .vocab import VocabRegistry, tokenize
+from .vocab import VocabRegistry, detokenize, tokenize
 
 ENV_SCENARIO = "TRIEFUSION_SCENARIO"
 STREAM_FORMAT = "triefusion-stream/1"
@@ -97,44 +96,9 @@ def builtin_scenario_path(name: str) -> Path:
     return Path(str(packaged))
 
 
-_WANTED = {int: "an integer", float: "a finite number", dict: "an object", list: "a list",
-           str: "a string", bool: "true or false"}
-
-
-_MISSING = object()  # ``mapping.get(key, _MISSING)``: the key is absent
-
-
-def _typed(kind, value, key, where: str = "scenario key"):
-    """``value`` as JSON ``kind`` (an ``int`` whole, a ``float`` finite, neither a bool),
-    else a config error naming ``where`` and ``key``. Null is never accepted."""
-    if value is _MISSING:  # named by the container before the key's last dot
-        container, _, leaf = str(key).rpartition(".")
-        where = f"{where} {container!r}" if container else where
-        raise ValueError(f"{where} is missing {leaf!r}")
-    if kind in (int, float):
-        try:
-            if not isinstance(value, bool) and isinstance(value, (int, float)):
-                number = kind(value)
-                if math.isfinite(number) and (kind is float or number == value):
-                    return number
-        except (ValueError, OverflowError):
-            pass
-    elif isinstance(value, kind):
-        return value
-    raise ValueError(f"{where} {key!r} needs {_WANTED[kind]}, got {value!r}")
-
-
-def _items(kind, value, key: str, where: str = "scenario key") -> tuple:
-    """``_typed`` over each entry of a list; anything but a list names its key."""
-    return tuple(
-        _typed(kind, item, f"{key}[{i}]", where)
-        for i, item in enumerate(_typed(list, value, key, where))
-    )
-
-
 def _section(scenario: dict, key: str) -> dict:
     """A scenario object such as ``engine``: empty when absent, else it must be an object."""
-    return _typed(dict, scenario.get(key, {}), key)
+    return typed(dict, scenario.get(key, {}), key)
 
 
 def load_scenario(source: str) -> dict:
@@ -143,7 +107,7 @@ def load_scenario(source: str) -> dict:
     else:
         path = Path(source)
     with open(path, encoding="utf-8") as fh:
-        return _required_keys(_typed(dict, json.load(fh), source, "scenario file"), "scenario")
+        return _required_keys(typed(dict, json.load(fh), source, "scenario file"), "scenario")
 
 
 def _required_keys(scenario: dict, where: str) -> dict:
@@ -155,36 +119,36 @@ def _required_keys(scenario: dict, where: str) -> dict:
 
 def _parse_concepts(scenario: dict) -> tuple[ConceptSpec, ...]:
     concepts = []
-    for i, entry in enumerate(_items(dict, scenario["concepts"], "concepts")):
+    for i, entry in enumerate(typed_items(dict, scenario["concepts"], "concepts")):
         key = f"concepts[{i}]"
-        substitutions = _typed(dict, entry.get("substitutions", _MISSING), f"{key}.substitutions")
+        substitutions = typed(dict, entry.get("substitutions", MISSING), f"{key}.substitutions")
         for name, value in substitutions.items():
-            _typed(str, value, f"{key}.substitutions.{name}")
-        concept_id = _typed(str, entry.get("id", _MISSING), f"{key}.id")
+            typed(str, value, f"{key}.substitutions.{name}")
+        concept_id = typed(str, entry.get("id", MISSING), f"{key}.id")
         concepts.append(ConceptSpec(concept_id, dict(substitutions)))
     return tuple(concepts)
 
 
 def _parse_schedule(scenario: dict, seed: int) -> DriftSchedule:
-    raw = _typed(dict, scenario["schedule"], "schedule")
+    raw = typed(dict, scenario["schedule"], "schedule")
     kind = raw.get("kind", "abrupt")
     ramp: tuple[float, ...] = ()
     if "ramp" in raw:
         ramp_spec = raw["ramp"]
         if isinstance(ramp_spec, dict):
-            length = _typed(int, scenario["length"], "length")
-            start = _typed(float, ramp_spec.get("start", _MISSING), "schedule.ramp.start")
-            end = _typed(float, ramp_spec.get("end", _MISSING), "schedule.ramp.end")
+            length = typed(int, scenario["length"], "length")
+            start = typed(float, ramp_spec.get("start", MISSING), "schedule.ramp.start")
+            end = typed(float, ramp_spec.get("end", MISSING), "schedule.ramp.end")
             if length == 1:
                 ramp = (end,)
             else:
                 ramp = tuple(start + (end - start) * i / (length - 1) for i in range(length))
         else:
-            ramp = _items(float, ramp_spec, "schedule.ramp")
+            ramp = typed_items(float, ramp_spec, "schedule.ramp")
     return DriftSchedule(
         kind=kind,
         concepts=_parse_concepts(scenario),
-        switch_points=_items(int, raw.get("switch_points", []), "schedule.switch_points"),
+        switch_points=typed_items(int, raw.get("switch_points", []), "schedule.switch_points"),
         mixing_ramp=ramp,
         seed=seed,
     )
@@ -209,14 +173,14 @@ class Experiment:
 
 def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: int) -> list[str]:
     warm = _section(scenario, "warmup")
-    count = _typed(int, warm.get("sentences", 0), "warmup.sentences")
+    count = typed(int, warm.get("sentences", 0), "warmup.sentences")
     if count == 0:
         return []
-    concept_id = _typed(str, warm.get("concept", concepts[0].concept_id), "warmup.concept")
+    concept_id = typed(str, warm.get("concept", concepts[0].concept_id), "warmup.concept")
     by_id = {c.concept_id: c for c in concepts}
     if concept_id not in by_id:
         raise ValueError(f"warmup concept {concept_id!r} not declared")
-    templates = _items(str, scenario["templates"], "templates")
+    templates = typed_items(str, scenario["templates"], "templates")
     rng = Random(f"{seed}/warmup")
     return [
         render_template(templates[rng.randrange(len(templates))], by_id[concept_id])
@@ -227,19 +191,19 @@ def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: i
 def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -> StreamItem:
     """Row ``position`` of a stream file, rejected if decoding would fail on or mis-score it."""
     where = f"stream item {position}"
-    row = _typed(dict, row, position, "stream item")
-    reference = _typed(str, row.get("reference", _MISSING), "reference", where)
+    row = typed(dict, row, position, "stream item")
+    reference = typed(str, row.get("reference", MISSING), "reference", where)
     ids = tuple(tokenize(reference, registry, grow=True))
-    prompt_len = _typed(int, row.get("prompt_len", _MISSING), "prompt_len", where)
+    prompt_len = typed(int, row.get("prompt_len", MISSING), "prompt_len", where)
     spans = []
-    for i, span in enumerate(_items(list, row.get("spans", _MISSING), "spans", where)):
+    for i, span in enumerate(typed_items(list, row.get("spans", MISSING), "spans", where)):
         if len(span) != 4:
             raise ValueError(f"{where} 'spans[{i}]' needs [name, start, end, value], got {span!r}")
         spans.append(PlaceholderSpan(*(
-            _typed(kind, part, f"spans[{i}][{j}]", where)
+            typed(kind, part, f"spans[{i}][{j}]", where)
             for j, (kind, part) in enumerate(zip((str, int, int, str), span))
         )))
-    timestamp = _typed(float, row.get("timestamp", _MISSING), "timestamp", where)
+    timestamp = typed(float, row.get("timestamp", MISSING), "timestamp", where)
     for span in spans:
         if not 0 <= span.start < span.end <= len(ids):
             raise ValueError(
@@ -255,11 +219,11 @@ def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -
             f"not before the previous item's {previous}"
         )
     return StreamItem(
-        index=_typed(int, row.get("index", _MISSING), "index", where),
+        index=typed(int, row.get("index", MISSING), "index", where),
         prompt=ids[:prompt_len],
         reference=ids,
         timestamp=timestamp,
-        concept_id=_typed(str, row.get("concept", _MISSING), "concept", where),
+        concept_id=typed(str, row.get("concept", MISSING), "concept", where),
         prompt_text=" ".join(reference.split()[:prompt_len]),
         reference_text=" ".join(reference.split()),
         spans=tuple(spans),
@@ -277,24 +241,23 @@ def build_experiment(
     index order, so rebuilding from a stream file lands on the same id
     space as generating directly from the scenario.
     """
-    templates = _items(str, scenario["templates"], "templates")
+    templates = typed_items(str, scenario["templates"], "templates")
     if not templates:
         raise ValueError("scenario key 'templates' needs at least one template")
-    seed = _typed(int, scenario["seed"], "seed") if seed_override is None else seed_override
+    seed = typed(int, scenario["seed"], "seed") if seed_override is None else seed_override
     # the scenario carried forward (e.g. into stream-file headers) must
     # reflect the seed actually used
     scenario = {**scenario, "seed": seed}
     registry = VocabRegistry()
-    eos_id = registry.add(_typed(str, scenario.get("eos", "</s>"), "eos"))
+    eos_id = registry.add(typed(str, scenario.get("eos", "</s>"), "eos"))
     schedule = _parse_schedule(scenario, seed)
     warmup_texts = _build_warmup_texts(scenario, schedule.concepts, seed)
     warmup_corpus = [tokenize(text, registry, grow=True) + [eos_id] for text in warmup_texts]
-    timestamp_step = _typed(
-        float, scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP), "timestamp_step"
-    )
+    timestamp_step = typed(float, scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP),
+                           "timestamp_step")
 
     if stream_items is None:
-        length = _typed(int, scenario["length"], "length")
+        length = typed(int, scenario["length"], "length")
         stream = generate_stream(templates, schedule, length, registry, timestamp_step)
     else:
         stream = []
@@ -303,7 +266,7 @@ def build_experiment(
             stream.append(_stream_item(position, row, registry, previous))
 
     warm = _section(scenario, "warmup")
-    into_trie = _typed(bool, warm.get("insert_into_trie", True), "warmup.insert_into_trie")
+    into_trie = typed(bool, warm.get("insert_into_trie", True), "warmup.insert_into_trie")
     return Experiment(
         scenario=scenario,
         seed=seed,
@@ -344,8 +307,8 @@ def _setting(scenario: dict, args, name: str):
     section, kind, default, _ = SETTINGS[name]
     flag = getattr(args, name, None)
     if flag is not None:
-        return _typed(kind, flag, "--" + name.replace("_", "-"), "flag")
-    return _typed(kind, _section(scenario, section).get(name, default), f"{section}.{name}")
+        return typed(kind, flag, "--" + name.replace("_", "-"), "flag")
+    return typed(kind, _section(scenario, section).get(name, default), f"{section}.{name}")
 
 
 def _engine_settings(scenario: dict, args) -> dict:
@@ -356,9 +319,9 @@ def _engine_settings(scenario: dict, args) -> dict:
             raise ValueError("--weights takes three comma-separated values")
         weights = ScoringWeights(*parts)
     else:
-        weight_spec = _typed(dict, engine.get("weights", {}), "engine.weights")
+        weight_spec = typed(dict, engine.get("weights", {}), "engine.weights")
         weights = ScoringWeights(*(
-            _typed(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
+            typed(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
             for name in ("frequency", "length", "recency")
         ))
     n_max = _setting(scenario, args, "n_max")
@@ -367,9 +330,8 @@ def _engine_settings(scenario: dict, args) -> dict:
         "weights": weights,
         "n_max": n_max,
         "top_k": _setting(scenario, args, "top_k"),
-        "continuity_scale": _typed(
-            float, engine.get("continuity_scale", CONTINUITY_SCALE), "engine.continuity_scale"
-        ),
+        "continuity_scale": typed(float, engine.get("continuity_scale", CONTINUITY_SCALE),
+                                  "engine.continuity_scale"),
         "fixed_temperature": _setting(scenario, args, "fixed_temperature"),
         "max_new_tokens": _setting(scenario, args, "max_new_tokens"),
     }
@@ -378,7 +340,11 @@ def _engine_settings(scenario: dict, args) -> dict:
 def build_provider(experiment: Experiment, args) -> LogitProvider:
     base = _section(experiment.scenario, "base_lm")
     kind = _flag_or(args, "lm", base.get("kind", "builtin"))
+    if kind not in ("builtin", "external"):
+        raise ValueError(f"unknown base_lm kind {kind!r}")
     if getattr(args, "lm_model", None) is not None:
+        if kind == "external":
+            raise ValueError("--lm-model is a built-in n-gram model; the base model is external")
         model = NGramModel.load(args.lm_model)
         if model.vocab_size != len(experiment.registry):
             raise ValueError(
@@ -394,12 +360,10 @@ def build_provider(experiment: Experiment, args) -> LogitProvider:
             endpoint, key, where = base["endpoint"], "base_lm.endpoint", "scenario key"
         else:
             raise ValueError("external base model needs --endpoint host:port")
-        host, _, port = _typed(str, endpoint, key, where).rpartition(":")
+        host, _, port = typed(str, endpoint, key, where).rpartition(":")
         if not (port.isascii() and port.isdecimal() and int(port) <= 65535):
             raise ValueError(f"{where} {key!r} needs host:port, port 0-65535; got {endpoint!r}")
         return ExternalLogitProvider.connect_tcp(host, int(port), len(experiment.registry))
-    if kind != "builtin":
-        raise ValueError(f"unknown base_lm kind {kind!r}")
     if not experiment.warmup_corpus:
         raise ValueError("builtin base model needs warmup sentences to train on")
     return train_ngram(
@@ -522,7 +486,7 @@ def write_summary(payload: dict, path: Path) -> None:
 
 
 def _telemetry(experiment: Experiment) -> list[list]:
-    window = _typed(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
+    window = typed(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
     if window < 1:
         return []
     refs = [item.reference for item in experiment.stream]
@@ -552,7 +516,7 @@ def _load_stream_file(path: str) -> tuple[dict, list[dict]]:
     header = json.loads(lines[0])
     if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
         raise ValueError(f"{path} is not a {STREAM_FORMAT} file")
-    scenario = _typed(dict, header.get("scenario", _MISSING), "scenario", "stream header")
+    scenario = typed(dict, header.get("scenario", MISSING), "scenario", "stream header")
     return _required_keys(scenario, "stream header scenario"), [json.loads(l) for l in lines[1:]]
 
 
@@ -590,8 +554,9 @@ def cmd_simulate(args) -> int:
         experiment.registry.save(args.vocab_out)
     if args.warmup_out:
         with open(args.warmup_out, "w", encoding="utf-8", newline="\n") as fh:
-            texts = _build_warmup_texts(experiment.scenario, experiment.concepts, experiment.seed)
-            fh.writelines(text + "\n" for text in texts)
+            # each warm-up sequence ends in the end marker, which the text omits
+            fh.writelines(detokenize(seq[:-1], experiment.registry) + "\n"
+                          for seq in experiment.warmup_corpus)
     print(f"wrote {len(experiment.stream)} items to {out}")
     return 0
 
@@ -655,15 +620,19 @@ def cmd_compare(args) -> int:
 
 def cmd_trie(args) -> int:
     trie = PrefixTrie.restore(Path(args.snapshot).read_bytes())
+    registry = VocabRegistry.load(args.vocab) if args.dump and args.vocab else None
+    if registry is not None:  # checked before any output: a short vocabulary prints nothing
+        top = max((record[0] for record in trie.walk()), default=-1)
+        if top >= len(registry):
+            raise ValueError(f"snapshot token {top} is outside the {len(registry)}-token --vocab")
     stats = trie.stats()
     print(
         f"nodes={stats.node_count} inserted_positions={stats.total_insertions} "
         f"n_max={trie.config.n_max} last_timestamp={trie.last_timestamp}"
     )
     if args.dump:
-        registry = VocabRegistry.load(args.vocab) if args.vocab else None
         for token, frequency, depth, recency, _ in trie.walk():
-            label = registry.token_of(token) if registry else str(token)
+            label = str(token) if registry is None else registry.token_of(token)
             print("  " * (depth - 1) + f"{label} F={frequency} L={depth} R={recency}")
     return 0
 

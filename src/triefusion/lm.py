@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, ProviderUnavailable
+from .errors import MISSING, EmptyCorpus, ProviderUnavailable, typed, typed_items
 from .vocab import TokenId
 
 PROTOCOL_VERSION = "logit-stream/1"
@@ -138,15 +138,39 @@ class NGramModel(LogitProvider):
 
     @classmethod
     def load(cls, path) -> "NGramModel":
+        """Read a :meth:`save` file; a field no saved model holds is a ValueError naming it.
+
+        Tokens lie below ``vocab_size``, counts are at least 1, and a context
+        is shorter than ``order``; no context, nor a token within one, repeats.
+        """
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != "ngram-lm/1":
+        if not isinstance(payload, dict) or payload.get("format") != "ngram-lm/1":
             raise ValueError(f"not an ngram-lm/1 file: {path}")
-        model = cls(payload["order"], payload["smoothing_k"], payload["vocab_size"])
-        for context, pairs in payload["contexts"]:
-            model._counts[tuple(int(t) for t in context)] = Counter(
-                {int(t): int(c) for t, c in pairs}
-            )
+        where = f"model file {path}"
+
+        def need(ok, key, wanted, value):
+            if not ok:
+                raise ValueError(f"{where} {key!r} needs {wanted}, got {value!r}")
+
+        model = cls(*(typed(kind, payload.get(key, MISSING), key, where) for kind, key
+                      in ((int, "order"), (float, "smoothing_k"), (int, "vocab_size"))))
+        ids = range(model.vocab_size)
+        contexts = typed_items(list, payload.get("contexts", MISSING), "contexts", where)
+        for i, entry in enumerate(contexts):
+            key = f"contexts[{i}]"
+            need(len(entry) == 2, key, "[context, pairs]", entry)
+            context = typed_items(int, entry[0], f"{key}[0]", where)
+            need(len(context) < model.order and all(t in ids for t in context)
+                 and context not in model._counts, f"{key}[0]",
+                 f"a new context of fewer than {model.order} ids below {len(ids)}", list(context))
+            counter = model._counts[context] = Counter()
+            for j, pair in enumerate(typed_items(list, entry[1], f"{key}[1]", where)):
+                need(len(pair) == 2, f"{key}[1][{j}]", "[token, count]", pair)
+                token, count = typed_items(int, pair, f"{key}[1][{j}]", where)
+                need(token in ids and token not in counter and count >= 1, f"{key}[1][{j}]",
+                     f"a new id below {len(ids)} and a count >= 1", pair)
+                counter[token] = count
         return model
 
 

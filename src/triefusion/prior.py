@@ -1,11 +1,11 @@
 """Turns trie lookups into a scored candidate set and a sparse distribution.
 
-For the current decoding prefix, every suffix shorter than the trie's n_max
-is looked up in the trie, longest first, in one locked read
-(``PrefixTrie.suffix_columns``); each child of a matched path is one raw
-candidate, held as an entry of its suffix's token, frequency and recency
-columns, with the child depth shared by the suffix. The raw features are
-then normalized across the whole collected set:
+For the current decoding prefix, one trie read (``PrefixTrie.next_tokens``)
+looks up every suffix shorter than the trie's n_max, longest first, under
+one lock hold. Each child of a matched path is one raw candidate: an entry
+of its suffix's token, frequency and recency columns, with the child depth
+shared by the suffix. The raw features are then normalized across the whole
+collected set:
 
 * frequency is log-damped and divided by the set maximum, so heavy counts
   cannot swamp the other signals;
@@ -111,13 +111,13 @@ class RawCandidates:
 
 
 def collect_candidates(trie: PrefixTrie, prefix: Sequence[TokenId]) -> RawCandidates:
-    """Children of every suffix of ``prefix`` shorter than n_max, from one locked trie read.
+    """Children of every suffix of ``prefix`` shorter than n_max, from one trie read.
 
     Longest suffix first, each node's children in insertion order.
     """
     if len(prefix) == 0:
         raise ValueError("prefix must be non-empty")
-    return RawCandidates(trie.suffix_columns(prefix))
+    return RawCandidates(trie.next_tokens(prefix))
 
 
 def score_candidates(

@@ -3,7 +3,9 @@
 This is the pipeline as it stood before ``triefusion.prior`` moved to plain
 ``(token, FeatureTriple)`` lists and ``token -> score`` dicts, kept verbatim
 (wrapper classes included) so tests can assert ``==`` on every probability,
-order included, against the production path.
+order included, against the production path. Each suffix's children are read
+through ``trie_ref.suffix_children``, the one-suffix lookup it was written
+against.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from trie_ref import FeatureTriple, suffix_children
 from triefusion.errors import EmptyCandidates
 from triefusion.prior import DEFAULT_WEIGHTS, ScoringWeights, SparseDistribution
-from triefusion.trie import FeatureTriple, PrefixTrie
+from triefusion.trie import PrefixTrie
 from triefusion.vocab import TokenId
 
 
@@ -58,7 +61,7 @@ def collect_candidates(trie: PrefixTrie, prefix: Sequence[TokenId]) -> list[RawC
     raw: list[RawCandidate] = []
     for length in range(len(prefix), 0, -1):
         suffix = prefix[len(prefix) - length :]
-        for token, features in trie.next_tokens(suffix):
+        for token, features in suffix_children(trie, suffix):
             raw.append(RawCandidate(token, features, length))
     return raw
 

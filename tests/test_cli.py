@@ -36,6 +36,15 @@ def small_scenario(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory, small_scenario):
+    """An order-3 model file over the small scenario's vocabulary."""
+    experiment = build_experiment(json.loads(small_scenario.read_text()))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    train_ngram(experiment.warmup_corpus, 3, 1.0, vocab_size=len(experiment.registry)).save(path)
+    return path
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["run", "--does-not-exist"]) == 1
@@ -115,6 +124,15 @@ class TestSimulate:
         )
         assert rebuilt.stream == direct.stream
         assert rebuilt.registry.tokens() == direct.registry.tokens()
+
+    @pytest.mark.parametrize("name", ["telco-abrupt", "telco-gradual", "telco-incremental"])
+    def test_warmup_export_is_the_rendered_warmup(self, tmp_path, name):
+        warm = tmp_path / "warm.txt"
+        assert main(["simulate", "--scenario", f"builtin:{name}", "--out",
+                     str(tmp_path / "s.jsonl"), "--warmup-out", str(warm)]) == 0
+        experiment = build_experiment(load_scenario(f"builtin:{name}"))
+        texts = cli._build_warmup_texts(experiment.scenario, experiment.concepts, experiment.seed)
+        assert texts and warm.read_text() == "".join(" ".join(t.split()) + "\n" for t in texts)
 
     def test_vocab_and_warmup_exports(self, tmp_path, small_scenario):
         out = tmp_path / "stream.jsonl"
@@ -218,6 +236,20 @@ class TestRun:
         assert main(["trie", "--snapshot", str(snap), "--dump", "--vocab", str(vocab)]) == 0
         assert "</s>" in capsys.readouterr().out
 
+    def test_trie_dump_with_short_vocab_prints_nothing(self, tmp_path, small_scenario, capsys):
+        vocab, snap = tmp_path / "vocab.txt", tmp_path / "trie.bin"
+        main(["simulate", "--scenario", str(small_scenario), "--out", str(tmp_path / "s.jsonl"),
+              "--vocab-out", str(vocab)])
+        main(["run", "--scenario", str(small_scenario), "--out", str(tmp_path / "r.jsonl"),
+              "--save-trie", str(snap)])
+        short = tmp_path / "short.txt"
+        short.write_text("".join(line + "\n" for line in vocab.read_text().splitlines()[:5]))
+        capsys.readouterr()
+        assert main(["trie", "--snapshot", str(snap), "--dump", "--vocab", str(short)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the 5-token --vocab" in captured.err
+
     def test_corrupt_snapshot_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -286,6 +318,56 @@ class TestTrainLm:
                      "--out", str(out_a)]) == 0
         assert main(["run", "--stream", str(stream), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("flags, base_lm", [
+        (["--lm", "external", "--endpoint", "127.0.0.1:1"], None),
+        ([], {"kind": "external", "endpoint": "127.0.0.1:1"}),
+    ], ids=["flag", "scenario"])
+    def test_model_file_with_external_base_rejected(self, tmp_path, small_scenario, model_file,
+                                                    capsys, flags, base_lm):
+        scenario = json.loads(small_scenario.read_text())
+        if base_lm is not None:
+            scenario["base_lm"] = base_lm
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(path), "--lm-model", str(model_file), *flags,
+                     "--out", str(out)]) == 2
+        assert "the base model is external" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], "not an ngram-lm/1 file"),
+        (lambda m: {**m, "contexts": None}, "'contexts' needs a list, got None"),
+        (lambda m: {**m, "order": "3"}, "'order' needs an integer, got '3'"),
+        (lambda m: {**m, "vocab_size": None}, "'vocab_size' needs an integer, got None"),
+        (lambda m: {key: v for key, v in m.items() if key != "smoothing_k"},
+         "is missing 'smoothing_k'"),
+        (lambda m: m["contexts"][-1][1].__setitem__(0, [None, 1]),
+         "[1][0][0]' needs an integer, got None"),
+        (lambda m: m["contexts"][-1][0].__setitem__(0, 10**6), "ids below"),
+        (lambda m: m["contexts"][-1][1][0].__setitem__(1, -5), "a count >= 1"),
+        (lambda m: m["contexts"][-1][1].append(m["contexts"][-1][1][0]), "a new id"),
+        (lambda m: m["contexts"][-1][0].append(0), "a new context of fewer than 3 ids"),
+        (lambda m: m["contexts"].append(m["contexts"][0]), "a new context"),
+        (lambda m: m["contexts"][-1].append([]), "needs [context, pairs]"),
+        (lambda m: m["contexts"][-1][1].__setitem__(0, [1]), "needs [token, count]"),
+    ], ids=["top-level-list", "contexts-null", "order-string", "vocab-null", "missing-key",
+            "null-token", "huge-context-token", "negative-count", "repeated-token",
+            "long-context", "repeated-context", "entry-not-pair", "pair-not-pair"])
+    def test_bad_model_file_named_before_decoding(self, tmp_path, small_scenario, model_file,
+                                                  capsys, edit, message):
+        model = json.loads(model_file.read_text())
+        edited = edit(model)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model if edited is None else edited))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--lm-model", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_vocab_mismatch_rejected(self, tmp_path, small_scenario):
         corpus = tmp_path / "corpus.txt"

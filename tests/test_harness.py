@@ -74,10 +74,8 @@ def test_trie_learns_reference_after_insertion():
     value = registry.id_of("copper-4g")
     first = stream[0]
     trie.insert_sequence(list(first.reference) + [eos], first.timestamp)
-    found = dict(trie.next_tokens(list(first.prompt[-2:])))
-    assert value in found or any(
-        value in dict(trie.next_tokens([t])) for t in first.prompt
-    )
+    reads = [trie.next_tokens(first.prompt[-2:])] + [trie.next_tokens([t]) for t in first.prompt]
+    assert any(value in group.tokens for read in reads for group in read)
 
 
 def test_prequential_truncation_consistency():

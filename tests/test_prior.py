@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import prior_ref
 from bruteforce import NgramScan, bf_scores, bf_top_preserving
 from conftest import T_NEW
+from trie_ref import FeatureTriple, suffix_children
 from triefusion.errors import EmptyCandidates
 from triefusion.prior import (
     RawCandidates,
@@ -17,7 +18,7 @@ from triefusion.prior import (
     top_preserving_distribution,
     trie_prior,
 )
-from triefusion.trie import FeatureTriple, PrefixTrie, SuffixColumns
+from triefusion.trie import PrefixTrie, SuffixColumns
 from triefusion.vocab import tokenize
 
 THIRD = ScoringWeights()
@@ -102,19 +103,20 @@ class TestCollect:
         with pytest.raises(ValueError):
             collect_candidates(trie, [])
 
-    def test_walks_only_suffixes_shorter_than_n_max(self, monkeypatch):
+    def test_walks_only_suffixes_shorter_than_n_max(self):
         trie = PrefixTrie(n_max=3)
-        walked = []
-        matches = trie._matches
+        trie.insert_sequence([0] * 20, 1.0)
+        trie._children = children = _CountingList(trie._children)
 
-        def spy(context, lengths):
-            lengths = list(lengths)
-            walked.extend(lengths)
-            return matches(context, lengths)
+        def read(prefix):
+            children.reads = 0
+            raw = collect_candidates(trie, prefix)
+            return children.reads, [group.depth - 1 for group in raw.columns]
 
-        monkeypatch.setattr(trie, "_matches", spy)
-        collect_candidates(trie, [0] * 20)
-        assert walked == [2, 1]
+        # suffix lengths 2 and 1 match; a 20-token prefix reads no more nodes
+        # than its 2-token tail, so no longer suffix is walked
+        assert read([0] * 20) == read([0, 0])
+        assert read([0] * 20)[1] == [2, 1]
 
     def test_len_counts_every_suffix_entry(self):
         trie = PrefixTrie(n_max=4)
@@ -133,7 +135,7 @@ class TestCollect:
         assert _rows(collect_candidates(trie, prefix)) == [
             (token, features)
             for length in range(len(prefix), 0, -1)
-            for token, features in trie.next_tokens(prefix[-length:])
+            for token, features in suffix_children(trie, prefix[-length:])
         ]
 
 
@@ -399,6 +401,16 @@ def test_pipeline_equals_reference_on_memoised_paths(world):
     _assert_matches_reference(*world)
 
 
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class _CountingLock:
     """A lock that counts its acquisitions."""
 
@@ -423,6 +435,22 @@ def test_one_lock_hold_per_prior():
     lock.acquired = 0
     assert trie_prior(trie, prefix, 3.0) is not None
     assert lock.acquired == 1
+
+
+def test_one_trie_read_per_prior(monkeypatch):
+    trie = PrefixTrie(n_max=5)
+    trie.insert_sequence([0, 1, 2, 3, 4, 5], 1.0)
+    trie.insert_sequence([2, 3, 9], 2.0)
+    contexts = []
+    next_tokens = PrefixTrie.next_tokens
+
+    def spy(self, context):
+        contexts.append(list(context))
+        return next_tokens(self, context)
+
+    monkeypatch.setattr(PrefixTrie, "next_tokens", spy)
+    assert trie_prior(trie, [0, 1, 2, 3], 3.0) is not None
+    assert contexts == [[0, 1, 2, 3]]
 
 
 @given(st.dictionaries(st.integers(min_value=0, max_value=60),

@@ -8,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 import trie_ref
 from bruteforce import NgramScan
 from conftest import T_NEW, T_OLD
+from trie_ref import FeatureTriple, suffix_children
 from triefusion.errors import (
     CorruptSnapshot,
     EmptySequence,
     TimestampRegression,
     VersionMismatch,
 )
-from triefusion.trie import _HEADER, _NODE, FeatureTriple, PrefixTrie, TrieConfig
+from triefusion.trie import _HEADER, _NODE, PrefixTrie, SuffixColumns, TrieConfig
 from triefusion.vocab import tokenize
 
 
 def _features(trie, path):
-    return dict(trie.next_tokens(path[:-1]))[path[-1]]
+    return dict(suffix_children(trie, path[:-1]))[path[-1]]
 
 
 def _with_parents(trie):
@@ -28,7 +29,7 @@ def _with_parents(trie):
     The tree is rebuilt from the preorder child counts alone, and every
     declared child must be present.
     """
-    pending = [[None, len(trie.next_tokens([]))]]
+    pending = [[None, len(suffix_children(trie, []))]]
     pairs = []
     for record in trie.walk():
         while pending and pending[-1][1] == 0:
@@ -61,7 +62,7 @@ class TestInsert:
         trie = PrefixTrie()
         trie.insert_sequence([3], 10.0)
         assert trie.stats().node_count == 1
-        assert trie.next_tokens([]) == [(3, FeatureTriple(1, 1, 10.0))]
+        assert suffix_children(trie, []) == [(3, FeatureTriple(1, 1, 10.0))]
 
     def test_double_insert_doubles_frequency(self):
         trie = PrefixTrie(n_max=3)
@@ -80,9 +81,10 @@ class TestInsert:
     def test_window_truncation(self):
         trie = PrefixTrie(n_max=2)
         trie.insert_sequence([1, 2, 3], 1.0)
-        # no path longer than the window exists
-        assert trie.next_tokens([1, 2]) == []
-        assert trie.next_tokens([1]) == [(2, FeatureTriple(1, 2, 1.0))]
+        # no path longer than the window exists, so only the suffix [2] is read
+        assert suffix_children(trie, [1, 2]) == []
+        assert trie.next_tokens([1, 2]) == [SuffixColumns(2, [3], [1], [1.0])]
+        assert suffix_children(trie, [1]) == [(2, FeatureTriple(1, 2, 1.0))]
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):
@@ -116,15 +118,25 @@ class TestInsert:
 class TestNextTokens:
     def test_matching_suffix(self, two_sentence_world):
         registry, trie = two_sentence_world
-        found = dict(trie.next_tokens(tokenize("activate your plan", registry)))
+        found = dict(suffix_children(trie, tokenize("activate your plan", registry)))
         assert found == {
             registry.id_of("4G"): FeatureTriple(1, 4, T_OLD),
             registry.id_of("5G"): FeatureTriple(1, 4, T_NEW),
         }
 
+    def test_every_suffix_longest_first(self, two_sentence_world):
+        registry, trie = two_sentence_world
+        old, new = registry.id_of("4G"), registry.id_of("5G")
+        # only the newer sentence follows "please activate your plan"; the
+        # shorter suffixes each lead to both values, the older first
+        assert trie.next_tokens(tokenize("please activate your plan", registry)) == [
+            SuffixColumns(5, [new], [1], [T_NEW]),
+            *(SuffixColumns(depth, [old, new], [1, 1], [T_OLD, T_NEW]) for depth in (4, 3, 2)),
+        ]
+
     def test_root_children(self, two_sentence_world):
         registry, trie = two_sentence_world
-        tokens = {registry.token_of(t) for t, _ in trie.next_tokens([])}
+        tokens = {registry.token_of(t) for t, _ in suffix_children(trie, [])}
         assert tokens == {"activate", "your", "plan", "please", "4G", "5G"}
 
     def test_absent_suffix_is_empty(self, two_sentence_world):
@@ -346,8 +358,14 @@ class TestOracleEquivalence:
         rng, trie, oracle = self._random_world(seed)
         for _ in range(25):
             suffix = [rng.randrange(12) for _ in range(rng.randrange(0, 5))]
-            mine = {t: (f.frequency, f.depth, f.recency) for t, f in trie.next_tokens(suffix)}
+            mine = {t: (f.frequency, f.depth, f.recency) for t, f in suffix_children(trie, suffix)}
             assert mine == oracle.next_tokens(suffix)
+            read = [(group.depth, {token: (freq, group.depth, recency) for token, freq, recency
+                                   in zip(group.tokens, group.frequencies, group.recencies)})
+                    for group in trie.next_tokens(suffix)]
+            scanned = [(length + 1, oracle.next_tokens(suffix[len(suffix) - length :]))
+                       for length in range(len(suffix), 0, -1)]
+            assert read == [(depth, kids) for depth, kids in scanned if kids]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_node_count_matches_scan(self, seed):
@@ -368,11 +386,13 @@ def test_concurrent_readers_never_see_partial_inserts():
     def read_loop():
         local = random.Random(1)
         while not stop.is_set():
-            suffix = [local.randrange(6) for _ in range(local.randrange(0, 3))]
-            for _, feats in trie.next_tokens(suffix):
+            suffix = [local.randrange(6) for _ in range(local.randrange(1, 4))]
+            for group in trie.next_tokens(suffix):
                 # a visible node always has a complete feature triple
-                if feats.frequency < 1 or feats.recency <= 0 or feats.depth < 1:
-                    failures.append(feats)
+                sizes = {len(group.tokens), len(group.frequencies), len(group.recencies)}
+                if (group.depth < 2 or min(group.frequencies) < 1 or min(group.recencies) <= 0
+                        or len(sizes) != 1):
+                    failures.append(group)
 
     readers = [threading.Thread(target=read_loop) for _ in range(3)]
     for reader in readers:
@@ -460,9 +480,23 @@ def _trie_history(draw):
     return n_max, list(zip(sequences, stamps))
 
 
+def _read(trie, window):
+    """``next_tokens(window)``; the reference looks up one suffix, so it is asked per suffix."""
+    if not isinstance(trie, trie_ref.PrefixTrie):
+        return trie.next_tokens(window)
+    groups = []
+    for length in range(len(window), 0, -1):
+        kids = trie.next_tokens(window[len(window) - length :])
+        if kids:
+            groups.append(SuffixColumns(kids[0][1].depth, [token for token, _ in kids],
+                                        [features.frequency for _, features in kids],
+                                        [features.recency for _, features in kids]))
+    return groups
+
+
 def _observed(trie, windows):
     return (trie.snapshot(), trie.stats(), list(trie.walk()),
-            [trie.next_tokens(window) for window in windows])
+            [_read(trie, window) for window in windows])
 
 
 @given(_trie_history())

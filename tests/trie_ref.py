@@ -3,14 +3,16 @@
 This is ``triefusion.trie.PrefixTrie`` as it stood when every node also
 carried its token and depth in columns of their own, kept verbatim so tests
 can assert ``==`` on snapshot bytes, stats, walks and lookups against the
-production trie, which derives both from its child maps.
+production trie, which derives both from its child maps. The reference looks
+up one suffix at a time; ``suffix_children`` reads the same view off the
+production trie's one read of every suffix.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from triefusion.errors import CorruptSnapshot, EmptySequence, TimestampRegression, VersionMismatch
 from triefusion.trie import (
@@ -18,11 +20,32 @@ from triefusion.trie import (
     _NODE,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    FeatureTriple,
     TrieConfig,
     TrieStats,
 )
 from triefusion.vocab import TokenId
+
+
+class FeatureTriple(NamedTuple):
+    """Raw per-node statistics: occurrence count, n-gram length, last-seen time."""
+
+    frequency: int
+    depth: int
+    recency: float
+
+
+def suffix_children(trie, suffix: Sequence[TokenId]) -> list[tuple[TokenId, FeatureTriple]]:
+    """The children of ``suffix`` alone in a ``triefusion.trie.PrefixTrie``, as
+    ``(token, FeatureTriple)`` pairs in insertion order: the group of its one read
+    that lies one past the suffix, or for the empty suffix the depth-1 walk records.
+    """
+    suffix = list(suffix)
+    if not suffix:
+        return [(token, FeatureTriple(frequency, depth, recency))
+                for token, frequency, depth, recency, _ in trie.walk() if depth == 1]
+    return [(token, FeatureTriple(frequency, group.depth, recency))
+            for group in trie.next_tokens(suffix) if group.depth == len(suffix) + 1
+            for token, frequency, recency in zip(group.tokens, group.frequencies, group.recencies)]
 
 
 class PrefixTrie:
