@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -174,6 +174,8 @@ class Experiment:
 def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: int) -> list[str]:
     warm = _section(scenario, "warmup")
     count = typed(int, warm.get("sentences", 0), "warmup.sentences")
+    if count < 0:
+        raise ValueError(f"scenario key 'warmup.sentences' needs a count >= 0, got {count}")
     if count == 0:
         return []
     concept_id = typed(str, warm.get("concept", concepts[0].concept_id), "warmup.concept")
@@ -312,6 +314,7 @@ def _setting(scenario: dict, args, name: str):
 
 
 def _engine_settings(scenario: dict, args) -> dict:
+    """The validated decoder (its strategy swapped per run), n_max and the generation cap."""
     engine = _section(scenario, "engine")
     if getattr(args, "weights", None) is not None:
         parts = [float(p) for p in args.weights.split(",")]
@@ -324,17 +327,26 @@ def _engine_settings(scenario: dict, args) -> dict:
             typed(float, weight_spec.get(name, 1.0 / 3.0), f"engine.weights.{name}")
             for name in ("frequency", "length", "recency")
         ))
-    n_max = _setting(scenario, args, "n_max")
-    TrieConfig(n_max)  # checked here as well: the baselines build no trie
     return {
-        "weights": weights,
-        "n_max": n_max,
-        "top_k": _setting(scenario, args, "top_k"),
-        "continuity_scale": typed(float, engine.get("continuity_scale", CONTINUITY_SCALE),
-                                  "engine.continuity_scale"),
-        "fixed_temperature": _setting(scenario, args, "fixed_temperature"),
+        # checked here as well: the baselines build no trie
+        "n_max": TrieConfig(_setting(scenario, args, "n_max")).n_max,
+        "decoder": DecoderConfig(
+            weights=weights,
+            top_k=_setting(scenario, args, "top_k"),
+            continuity_scale=typed(float, engine.get("continuity_scale", CONTINUITY_SCALE),
+                                   "engine.continuity_scale"),
+            fixed_temperature=_setting(scenario, args, "fixed_temperature"),
+        ),
         "max_new_tokens": _setting(scenario, args, "max_new_tokens"),
     }
+
+
+# base model -> the base-model flags it never reads
+_UNREAD_FLAGS = {
+    "builtin": ("endpoint",),
+    "the --lm-model file": ("order", "smoothing_k", "endpoint"),
+    "external": ("lm_model", "order", "smoothing_k"),
+}
 
 
 def build_provider(experiment: Experiment, args) -> LogitProvider:
@@ -342,10 +354,14 @@ def build_provider(experiment: Experiment, args) -> LogitProvider:
     kind = _flag_or(args, "lm", base.get("kind", "builtin"))
     if kind not in ("builtin", "external"):
         raise ValueError(f"unknown base_lm kind {kind!r}")
-    if getattr(args, "lm_model", None) is not None:
-        if kind == "external":
-            raise ValueError("--lm-model is a built-in n-gram model; the base model is external")
-        model = NGramModel.load(args.lm_model)
+    model_file = getattr(args, "lm_model", None)
+    source = "the --lm-model file" if kind == "builtin" and model_file is not None else kind
+    for name in _UNREAD_FLAGS[source]:
+        if getattr(args, name, None) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"flag {flag!r} is not read: the base model is {source}")
+    if model_file is not None:
+        model = NGramModel.load(model_file)
         if model.vocab_size != len(experiment.registry):
             raise ValueError(
                 f"model vocabulary ({model.vocab_size}) does not match the "
@@ -378,15 +394,7 @@ def execute_strategy(
     experiment: Experiment, provider: LogitProvider, strategy: str, settings: dict
 ) -> tuple[list[ItemRecord], PrefixTrie | None]:
     """Run one strategy over the stream; the trie is None for strategies that never read it."""
-    decoder = Decoder(
-        DecoderConfig(
-            strategy=strategy,
-            weights=settings["weights"],
-            top_k=settings["top_k"],
-            continuity_scale=settings["continuity_scale"],
-            fixed_temperature=settings["fixed_temperature"],
-        )
-    )
+    decoder = Decoder(replace(settings["decoder"], strategy=strategy))
     trie = None
     if decoder.wants_prior:
         trie = PrefixTrie(n_max=settings["n_max"])

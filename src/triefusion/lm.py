@@ -33,9 +33,14 @@ PROTOCOL_VERSION = "logit-stream/1"
 class LogitProvider(abc.ABC):
     """Deterministic map from a token-id prefix to a full-vocabulary logit row."""
 
+    def __init__(self, vocab_size: int):
+        if vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2")
+        self._vocab_size = vocab_size
+
     @property
-    @abc.abstractmethod
-    def vocab_size(self) -> int: ...
+    def vocab_size(self) -> int:
+        return self._vocab_size
 
     @abc.abstractmethod
     def logits(self, prefix: Sequence[TokenId]) -> np.ndarray: ...
@@ -48,15 +53,6 @@ class LogitProvider(abc.ABC):
 
 class UniformLogitProvider(LogitProvider):
     """All-zero logits; softmax is uniform for any prefix."""
-
-    def __init__(self, vocab_size: int):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        self._vocab_size = vocab_size
-
-    @property
-    def vocab_size(self) -> int:
-        return self._vocab_size
 
     def logits(self, prefix: Sequence[TokenId]) -> np.ndarray:
         self._check_prefix(prefix)
@@ -77,16 +73,10 @@ class NGramModel(LogitProvider):
             raise ValueError("order must be >= 1")
         if not smoothing_k > 0:
             raise ValueError("smoothing_k must be > 0")
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        super().__init__(vocab_size)
         self.order = order
         self.smoothing_k = float(smoothing_k)
-        self._vocab_size = vocab_size
         self._counts: dict[tuple[TokenId, ...], Counter] = {}
-
-    @property
-    def vocab_size(self) -> int:
-        return self._vocab_size
 
     def _observe(self, sequence: Sequence[TokenId]) -> None:
         history = self.order - 1
@@ -197,11 +187,9 @@ class ExternalLogitProvider(LogitProvider):
     """Client for the ``logit-stream/1`` protocol over text streams."""
 
     def __init__(self, reader, writer, vocab_size: int):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        super().__init__(vocab_size)
         self._reader = reader
         self._writer = writer
-        self._vocab_size = vocab_size
         self._socket = None
         handshake = self._read_line()
         try:
@@ -230,10 +218,6 @@ class ExternalLogitProvider(LogitProvider):
             raise
         provider._socket = sock
         return provider
-
-    @property
-    def vocab_size(self) -> int:
-        return self._vocab_size
 
     def _read_line(self) -> str:
         try:

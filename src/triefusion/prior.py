@@ -172,8 +172,8 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
     """Keep the best score as the winner's probability, share the rest.
 
     The winner (ties broken toward the smallest token id) gets exactly its
-    score; the remaining 1 - score mass is split among the other candidates
-    proportionally to their scores. A single candidate takes all the mass.
+    score, capped at 1; the remaining mass is split among the other
+    candidates proportionally to their scores. A single candidate takes all the mass.
     """
     if not scores:
         raise EmptyCandidates("cannot normalize an empty candidate set")
@@ -182,9 +182,11 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
     if len(scores) == 1:
         return SparseDistribution({winner: 1.0})
     rest_total = left_sum(score for token, score in scores.items() if token != winner)
-    share = 1.0 - score_max
+    # weights may sum to 1 within 1e-9, so a score may pass 1 by as much
+    top = min(score_max, 1.0)
+    share = 1.0 - top
     probs = {token: share * score / rest_total for token, score in scores.items()}
-    probs[winner] = score_max
+    probs[winner] = top
     return SparseDistribution(probs)
 
 

@@ -16,6 +16,7 @@ from triefusion.cli import (
     load_scenario,
     main,
 )
+from triefusion.fusion import DecoderConfig
 from triefusion.harness import warm_start
 from triefusion.lm import train_ngram
 from triefusion.prior import ScoringWeights
@@ -369,6 +370,26 @@ class TestTrainLm:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, flag, source", [
+        (["--lm-model", "MODEL", "--order", "7"], "--order", "the --lm-model file"),
+        (["--lm-model", "MODEL", "--smoothing-k", "50"], "--smoothing-k", "the --lm-model file"),
+        (["--lm-model", "MODEL", "--endpoint", "1.2.3.4:5"], "--endpoint", "the --lm-model file"),
+        (["--lm", "builtin", "--endpoint", "1.2.3.4:5"], "--endpoint", "builtin"),
+        (["--endpoint", "1.2.3.4:5"], "--endpoint", "builtin"),
+        (["--lm", "external", "--endpoint", "127.0.0.1:1", "--order", "7"], "--order",
+         "external"),
+        (["--lm", "external", "--endpoint", "127.0.0.1:1", "--smoothing-k", "50"],
+         "--smoothing-k", "external"),
+    ], ids=["model-order", "model-smoothing-k", "model-endpoint", "builtin-endpoint",
+            "default-endpoint", "external-order", "external-smoothing-k"])
+    def test_flag_the_base_model_never_reads_rejected(self, tmp_path, small_scenario,
+                                                      model_file, capsys, flags, flag, source):
+        out = tmp_path / "r.jsonl"
+        flags = [str(model_file) if f == "MODEL" else f for f in flags]
+        assert main(["run", "--scenario", str(small_scenario), *flags, "--out", str(out)]) == 2
+        assert f"flag {flag!r} is not read: the base model is {source}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vocab_mismatch_rejected(self, tmp_path, small_scenario):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("tiny corpus here\n")
@@ -435,6 +456,18 @@ class TestCompare:
             assert main([*command, "--scenario", str(path)]) == 2
             assert "scenario key 'telemetry_window'" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_negative_warmup_count_rejected(self, tmp_path, small_scenario, capsys, command):
+        scenario = json.loads(small_scenario.read_text())
+        scenario["warmup"]["sentences"] = -5
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "o.jsonl"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert "scenario key 'warmup.sentences' needs a count >= 0, got -5" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_failed_strategy_leaves_no_out_dir(self, tmp_path, small_scenario):
         # max_new_tokens is rejected inside the first strategy's run, not up front
@@ -512,6 +545,17 @@ class TestSettingsTable:
         out = tmp_path / "r.jsonl"
         flag = "--" + name.replace("_", "-")
         assert main(["run", "--scenario", str(small_scenario), flag, "0",
+                     "--out", str(out)]) == 2
+        assert ZERO_MESSAGES[name] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["n_max", "top_k", "fixed_temperature"])
+    def test_engine_value_checked_before_the_base_model(self, tmp_path, small_scenario, capsys,
+                                                        name):
+        # nothing listens on the endpoint: a check left until after connecting would exit 3
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--" + name.replace("_", "-"),
+                     "0", "--lm", "external", "--endpoint", "127.0.0.1:1",
                      "--out", str(out)]) == 2
         assert ZERO_MESSAGES[name] in capsys.readouterr().err
         assert not out.exists()
@@ -656,6 +700,15 @@ class TestSettingsTable:
         assert "weight" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["0.3333333334,0.3333333334,0.3333333334",
+                                         "0.5000000004,0.25,0.25"])
+    def test_weights_summing_a_hair_above_one_decode(self, tmp_path, small_scenario, weights):
+        # the top score passes 1 by the accepted slack; the prior keeps its winner at 1
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--weights", weights,
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 40
+
     def test_zero_n_max_rejected_for_baselines_too(self, tmp_path, small_scenario):
         assert main(["compare", "--scenario", str(small_scenario), "--n-max", "0",
                      "--out-dir", str(tmp_path / "cmp")]) == 2
@@ -679,11 +732,9 @@ class TestSettingsTable:
     def test_unset_flags_take_scenario_values(self, name):
         third = 1.0 / 3.0
         assert _engine_settings(load_scenario(f"builtin:{name}"), argparse.Namespace()) == {
-            "weights": ScoringWeights(third, third, third),
+            "decoder": DecoderConfig(weights=ScoringWeights(third, third, third), top_k=5,
+                                     continuity_scale=3.0, fixed_temperature=1.5),
             "n_max": 5,
-            "top_k": 5,
-            "continuity_scale": 3.0,
-            "fixed_temperature": 1.5,
             "max_new_tokens": 64,
         }
 

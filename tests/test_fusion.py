@@ -313,6 +313,13 @@ class TestFuseStep:
             assert 0.0 <= diag.gamma <= 1.0
             assert 0.0 <= diag.omega <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("prior", [None, SparseDistribution({0: 0.7, 1: 0.3})],
+                             ids=["bypass", "fused"])
+    def test_non_finite_logits_rejected(self, bad, prior):
+        with pytest.raises(ValueError, match="logits must be finite"):
+            fuse_step(np.array([0.5, bad, 0.2]), prior, 0)
+
     def test_prior_token_out_of_range(self):
         with pytest.raises(ValueError):
             fuse_step(np.array([0.5, 0.2]), SparseDistribution({5: 1.0}), 0)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import socket
 import threading
 
@@ -15,6 +16,18 @@ from triefusion.lm import (
     serve_logits,
     train_ngram,
 )
+
+
+@pytest.mark.parametrize("build", [
+    UniformLogitProvider,
+    lambda vocab: NGramModel(3, 1.0, vocab),
+    lambda vocab: ExternalLogitProvider(
+        *_stub_server([json.dumps({"protocol": PROTOCOL_VERSION})]), vocab_size=vocab),
+], ids=["uniform", "ngram", "external"])
+def test_every_provider_needs_two_tokens(build):
+    assert build(2).vocab_size == 2
+    with pytest.raises(ValueError, match="vocab_size must be >= 2"):
+        build(1)
 
 
 class TestUniform:
@@ -166,7 +179,9 @@ class TestExternalProtocol:
         with pytest.raises(ProviderUnavailable):
             provider.logits([0])
 
-    @pytest.mark.parametrize("logits", [[0.0, "x", 2.0], [0.0, [1.0], 2.0], [0.0, True, 2.0]])
+    # json reads NaN and Infinity as floats, so they need their own check
+    @pytest.mark.parametrize("logits", [[0.0, "x", 2.0], [0.0, [1.0], 2.0], [0.0, True, 2.0],
+                                        [0.0, math.nan, 2.0], [0.0, -math.inf, 2.0]])
     def test_non_number_elements(self, logits):
         reader, writer = _stub_server(
             [json.dumps({"protocol": PROTOCOL_VERSION}), json.dumps({"logits": logits})]

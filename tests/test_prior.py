@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import prior_ref
 from bruteforce import NgramScan, bf_scores, bf_top_preserving
@@ -213,6 +213,11 @@ class TestTopPreserving:
         dist = top_preserving_distribution({0: 1.0, 1: 1.0})
         assert dist.probs == {0: 1.0, 1: 0.0}
 
+    def test_score_past_one_keeps_winner_at_one(self):
+        # weights of 0.3333333334 each sum to 1 + 2e-10, and so can a top score
+        dist = top_preserving_distribution({0: 1.0000000002, 1: 0.5})
+        assert dist.probs == {0: 1.0, 1: 0.0}
+
     def test_tie_breaks_to_smallest_id(self):
         dist = top_preserving_distribution({4: 0.8, 2: 0.8, 9: 0.2})
         assert dist.argmax_token() == 2
@@ -326,6 +331,40 @@ def test_top_preserving_properties(scores):
         assert dist.probs[winner] == pytest.approx(peak, abs=1e-12)
         if peak >= 0.5:
             assert dist.max_prob() == pytest.approx(peak, abs=1e-12)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20),  # token
+            st.integers(min_value=1, max_value=10_000),  # frequency
+            st.integers(min_value=1, max_value=9),  # depth
+            st.floats(min_value=1.0, max_value=1e6),  # recency
+        ),
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=150)
+def test_weights_within_the_slack_give_a_distribution(frequency, split, slack, rows,
+                                                      prefix_len):
+    length = (1.0 - frequency) * split
+    recency = max(1.0 - frequency - length + slack, 0.0)
+    try:
+        weights = ScoringWeights(frequency, length, recency)
+    except ValueError:  # the draw fell outside the accepted slack
+        assume(False)
+    # a candidate that tops every feature scores the weights' own sum, which may pass 1
+    newest = max([stamp for *_, stamp in rows], default=1.0)
+    raw = _raw(*rows, (21, 10_001, 9, newest))
+    scores = score_candidates(raw, prefix_len, newest + 1.0, weights)
+    dist = top_preserving_distribution(scores)
+    assert all(0.0 <= prob <= 1.0 for prob in dist.probs.values())
+    top = 1.0 if len(scores) == 1 else min(max(scores.values()), 1.0)
+    assert dist.probs[dist.argmax_token()] == top
 
 
 # gaps and decode delays of exactly 0 give equal recencies and gap_max == 0

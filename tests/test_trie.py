@@ -278,10 +278,16 @@ class TestRestoreConsistency:
             # depths are read back from the path, so the record's must match it
             lambda p: _patch_node(p, 0, depth=0),
             lambda p: _patch_node(p, 1, depth=3),
+            # the root declares two children, but a third record follows them
+            lambda p: _patch_header(p, root_kids=2),
+            lambda p: _patch_node(p, 5, frequency=0),
+            # root child 2 becomes a second root child 1
+            lambda p: _patch_node(p, 3, token=1),
         ],
         ids=["children-at-n-max", "inf-last-ts", "nan-last-ts", "nan-recency",
              "zero-recency", "recency-after-last-ts", "frequency-above-parent",
-             "root-child-at-depth-0", "depth-skips-a-level"],
+             "root-child-at-depth-0", "depth-skips-a-level", "extra-record",
+             "zero-frequency", "duplicate-token"],
     )
     def test_inconsistent_snapshot_rejected(self, corrupt):
         with pytest.raises(CorruptSnapshot):
