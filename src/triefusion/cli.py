@@ -33,18 +33,13 @@ from typing import Sequence
 from .errors import MISSING, ConfigError, TrieFusionError, typed, typed_items
 from .fusion import (
     CONTINUITY_SCALE,
+    DEFAULT_MAX_NEW_TOKENS,
     DEFAULT_TOP_K,
     Decoder,
     DecoderConfig,
     STRATEGIES,
 )
-from .harness import (
-    DEFAULT_MAX_NEW_TOKENS,
-    ItemRecord,
-    drift_adaptation_rate,
-    run_online,
-    warm_start,
-)
+from .harness import ItemRecord, drift_adaptation_rate, run_online, warm_start
 from .lm import ExternalLogitProvider, LogitProvider, NGramModel, train_ngram
 from .metrics import METRIC_FIELDS, aggregate_with_ci
 from .prior import ScoringWeights
@@ -314,13 +309,15 @@ def _setting(scenario: dict, args, name: str):
 
 
 def _engine_settings(scenario: dict, args) -> dict:
-    """The validated decoder (its strategy swapped per run), n_max and the generation cap."""
+    """The validated decoder (its strategy swapped per run) and n_max."""
     engine = _section(scenario, "engine")
     if getattr(args, "weights", None) is not None:
-        parts = [float(p) for p in args.weights.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--weights takes three comma-separated values")
-        weights = ScoringWeights(*parts)
+        try:
+            frequency, length, recency = map(float, args.weights.split(","))
+        except ValueError:
+            raise ValueError("flag '--weights' needs three comma-separated numbers, "
+                             f"got {args.weights!r}") from None
+        weights = ScoringWeights(frequency, length, recency)
     else:
         weight_spec = typed(dict, engine.get("weights", {}), "engine.weights")
         weights = ScoringWeights(*(
@@ -336,8 +333,8 @@ def _engine_settings(scenario: dict, args) -> dict:
             continuity_scale=typed(float, engine.get("continuity_scale", CONTINUITY_SCALE),
                                    "engine.continuity_scale"),
             fixed_temperature=_setting(scenario, args, "fixed_temperature"),
+            max_new_tokens=_setting(scenario, args, "max_new_tokens"),
         ),
-        "max_new_tokens": _setting(scenario, args, "max_new_tokens"),
     }
 
 
@@ -401,13 +398,7 @@ def execute_strategy(
         if experiment.warmup_into_trie and experiment.warmup_corpus:
             warm_start(trie, experiment.warmup_corpus, experiment.timestamp_step * 0.5)
     records = run_online(
-        experiment.stream,
-        trie,
-        provider,
-        decoder,
-        experiment.registry,
-        max_new_tokens=settings["max_new_tokens"],
-        eos_id=experiment.eos_id,
+        experiment.stream, trie, provider, decoder, experiment.registry, eos_id=experiment.eos_id
     )
     return records, trie
 
@@ -538,7 +529,17 @@ def _experiment_from_args(args) -> Experiment:
     return build_experiment(scenario, seed_override=getattr(args, "seed", None))
 
 
+def _check_out_paths(args, *names: str) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in a missing one."""
+    for name in names:
+        path = getattr(args, name)
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"flag {flag!r} names {path!r}, not a file in an existing directory")
+
+
 def cmd_simulate(args) -> int:
+    _check_out_paths(args, "out", "vocab_out", "warmup_out")
     scenario = load_scenario(_scenario_arg(args))
     experiment = build_experiment(scenario, seed_override=args.seed)
     out = Path(args.out)
@@ -569,12 +570,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _prepare(args) -> tuple[Experiment, dict, list[list], LogitProvider]:
-    """Experiment, engine settings, telemetry and provider: all read before any decode."""
+def _decode_strategies(args, strategies: Sequence[str]) -> tuple[Experiment, dict, dict]:
+    """The experiment, each strategy's (records, trie), and the summary payload over all.
+
+    Every input and engine value is read before the base model is trained or
+    connected, and the base model is closed however decoding ends.
+    """
     experiment = _experiment_from_args(args)
     settings = _engine_settings(experiment.scenario, args)
     telemetry = _telemetry(experiment)
-    return experiment, settings, telemetry, build_provider(experiment, args)
+    provider = build_provider(experiment, args)
+    try:
+        runs = {s: execute_strategy(experiment, provider, s, settings) for s in strategies}
+    finally:
+        provider.close()
+    summaries = [summarize_strategy(experiment, runs[s][0], s) for s in strategies]
+    return experiment, runs, {"seed": experiment.seed, "strategies": summaries,
+                              "telemetry": telemetry}
 
 
 def _print_means(summaries: list[dict], width: int = 0) -> None:
@@ -586,43 +598,32 @@ def _print_means(summaries: list[dict], width: int = 0) -> None:
 def cmd_run(args) -> int:
     if args.save_trie is not None and args.strategy != "odd":
         raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
-    experiment, settings, telemetry, provider = _prepare(args)
-    records, trie = execute_strategy(experiment, provider, args.strategy, settings)
+    _check_out_paths(args, "out", "trace", "summary", "save_trie")
+    experiment, runs, summary = _decode_strategies(args, [args.strategy])
+    records, trie = runs[args.strategy]
     write_results(records, Path(args.out))
     if args.trace:
         write_trace(records, Path(args.trace), experiment.registry)
     if args.save_trie is not None:
         Path(args.save_trie).write_bytes(trie.snapshot())
-    summary = summarize_strategy(experiment, records, args.strategy)
     if args.summary:
-        write_summary(
-            {"seed": experiment.seed, "strategies": [summary], "telemetry": telemetry},
-            Path(args.summary),
-        )
-    _print_means([summary])
+        write_summary(summary, Path(args.summary))
+    _print_means(summary["strategies"])
     return 0
 
 
 def cmd_compare(args) -> int:
-    experiment, settings, telemetry, provider = _prepare(args)
-    runs = {
-        strategy: execute_strategy(experiment, provider, strategy, settings)[0]
-        for strategy in STRATEGY_ORDER
-    }
-    summaries = [summarize_strategy(experiment, runs[s], s) for s in STRATEGY_ORDER]
+    experiment, runs, summary = _decode_strategies(args, STRATEGY_ORDER)
     # created only now, so that a failed strategy leaves no directory behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for strategy, records in runs.items():
+    for strategy, (records, _) in runs.items():
         write_results(records, out_dir / f"results_{strategy}.jsonl")
         if args.trace:
             write_trace(records, out_dir / f"trace_{strategy}.jsonl", experiment.registry)
-    write_table(summaries, out_dir / "summary.tsv")
-    write_summary(
-        {"seed": experiment.seed, "strategies": summaries, "telemetry": telemetry},
-        out_dir / "summary.json",
-    )
-    _print_means(summaries, width=11)
+    write_table(summary["strategies"], out_dir / "summary.tsv")
+    write_summary(summary, out_dir / "summary.json")
+    _print_means(summary["strategies"], width=11)
     return 0
 
 

@@ -43,6 +43,7 @@ LogitVector = np.ndarray
 DenseDistribution = np.ndarray
 
 DEFAULT_TOP_K = 5
+DEFAULT_MAX_NEW_TOKENS = 64
 CONTINUITY_SCALE = 3.0
 BRACKET_LO = 1e-3
 BRACKET_HI = 1e3
@@ -440,6 +441,7 @@ class DecoderConfig:
     top_k: int = DEFAULT_TOP_K
     continuity_scale: float = CONTINUITY_SCALE
     fixed_temperature: float = 1.0
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -450,6 +452,8 @@ class DecoderConfig:
             raise ValueError("continuity_scale must be > 0")
         if not self.fixed_temperature > 0:
             raise ValueError("fixed_temperature must be > 0")
+        if self.max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
 class Decoder:

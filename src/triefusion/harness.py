@@ -21,8 +21,6 @@ from .summation import left_sum
 from .trie import PrefixTrie
 from .vocab import TokenId, VocabRegistry, detokenize
 
-DEFAULT_MAX_NEW_TOKENS = 64
-
 
 @dataclass(frozen=True)
 class ItemRecord:
@@ -61,11 +59,10 @@ def decode_sequence(
     provider: LogitProvider,
     decoder: Decoder,
     now: float,
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     *,
     eos_id: TokenId,
 ) -> tuple[list[TokenId], list[StepDiagnostics], list[tuple[tuple[TokenId, float], ...] | None]]:
-    """Extend ``prompt`` token by token until the end marker or the cap.
+    """Extend ``prompt`` until the end marker or ``decoder.config.max_new_tokens`` tokens.
 
     The trie is read-only here; ``now`` is the decode-time clock used for
     recency scoring. Strategies that ignore the trie never query it.
@@ -76,7 +73,7 @@ def decode_sequence(
     steps: list[StepDiagnostics] = []
     priors: list[tuple[tuple[TokenId, float], ...] | None] = []
     run_length = 0
-    for _ in range(max_new_tokens):
+    for _ in range(decoder.config.max_new_tokens):
         z = provider.logits(ids)
         prior = None
         if decoder.wants_prior and ids:
@@ -96,16 +93,14 @@ def run_online(
     provider: LogitProvider,
     decoder: Decoder,
     registry: VocabRegistry,
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     *,
     eos_id: TokenId,
 ) -> list[ItemRecord]:
     """Strict test-then-train pass over the stream, in order; a None trie stays unfilled.
 
+    Each item is decoded under ``decoder``'s strategy and generation cap.
     Each distinct (reference, hypothesis) pair is scored once per call.
     """
-    if max_new_tokens < 1:
-        raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     records: list[ItemRecord] = []
     # bundles are frozen, so records of one pair share one
     scored: dict[tuple[str, str], MetricBundle] = {}
@@ -116,7 +111,6 @@ def run_online(
             provider,
             decoder,
             now=item.timestamp,
-            max_new_tokens=max_new_tokens,
             eos_id=eos_id,
         )
         shown = ids[:-1] if ids[-1] == eos_id else ids

@@ -45,6 +45,9 @@ class LogitProvider(abc.ABC):
     @abc.abstractmethod
     def logits(self, prefix: Sequence[TokenId]) -> np.ndarray: ...
 
+    def close(self) -> None:
+        """Release what the model holds open; an in-process model holds nothing."""
+
     def _check_prefix(self, prefix: Sequence[TokenId]) -> None:
         for token in prefix:
             if not 0 <= token < self.vocab_size:

@@ -127,7 +127,6 @@ class PrefixTrie:
             )
         n_max = self.config.n_max
         children, frequency, recency = self._children, self._frequency, self._recency
-        visits = 0
         with self._lock:
             for start in range(len(tokens)):
                 node = 0
@@ -141,10 +140,11 @@ class PrefixTrie:
                     frequency[child] += 1
                     recency[child] = timestamp  # never older: timestamps do not decrease
                     node = child
-                    visits += 1
             self._last_timestamp = timestamp
             self._total_insertions += len(tokens)
-        return visits
+        # the first len - depth + 1 starts update depth nodes each, the rest depth - 1 down to 1
+        depth = min(n_max, len(tokens))
+        return depth * (len(tokens) - depth + 1) + depth * (depth - 1) // 2
 
     def next_tokens(self, context: Sequence[TokenId]) -> list[SuffixColumns]:
         """Children of every suffix of ``context`` shorter than n_max, as columns.

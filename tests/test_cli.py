@@ -1,6 +1,10 @@
 import argparse
+import gc
+import itertools
 import json
 import socket
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from triefusion.cli import (
 )
 from triefusion.fusion import DecoderConfig
 from triefusion.harness import warm_start
-from triefusion.lm import train_ngram
+from triefusion.lm import serve_logits, train_ngram
 from triefusion.prior import ScoringWeights
 from triefusion.trie import N_MAX_CAP, PrefixTrie
 
@@ -260,11 +264,6 @@ class TestRun:
 class TestExternalProviderGlue:
     def test_run_against_tcp_served_model(self, tmp_path, small_scenario):
         """The external path reproduces the builtin path token for token."""
-        import socket
-        import threading
-
-        from triefusion.lm import serve_logits, train_ngram
-
         scenario = json.loads(small_scenario.read_text())
         experiment = build_experiment(scenario)
         backing = train_ngram(
@@ -470,11 +469,31 @@ class TestCompare:
         assert not out.exists()
 
     def test_failed_strategy_leaves_no_out_dir(self, tmp_path, small_scenario):
-        # max_new_tokens is rejected inside the first strategy's run, not up front
+        # the served model hangs up after a few replies, inside the first strategy's run
+        experiment = build_experiment(json.loads(small_scenario.read_text()))
+        backing = train_ngram(experiment.warmup_corpus, 3, 1.0,
+                              vocab_size=len(experiment.registry))
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve_a_few():
+            conn, _ = server.accept()
+            with conn, conn.makefile("r") as reader, conn.makefile("w") as writer:
+                serve_logits(backing, itertools.islice(reader, 5), writer)
+
+        thread = threading.Thread(target=serve_a_few, daemon=True)
+        thread.start()
         out_dir = tmp_path / "cmp"
-        assert main(["compare", "--scenario", str(small_scenario), "--max-new-tokens", "0",
-                     "--out-dir", str(out_dir)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare", "--scenario", str(small_scenario), "--lm", "external",
+                         "--endpoint", f"127.0.0.1:{server.getsockname()[1]}",
+                         "--out-dir", str(out_dir)])
+            gc.collect()
+        thread.join(timeout=10)
+        server.close()
+        assert code == 3
         assert not out_dir.exists()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_builtin_scenarios_resolve(self):
         for name in ("telco-abrupt", "telco-incremental", "telco-gradual"):
@@ -549,7 +568,7 @@ class TestSettingsTable:
         assert ZERO_MESSAGES[name] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["n_max", "top_k", "fixed_temperature"])
+    @pytest.mark.parametrize("name", ["n_max", "top_k", "fixed_temperature", "max_new_tokens"])
     def test_engine_value_checked_before_the_base_model(self, tmp_path, small_scenario, capsys,
                                                         name):
         # nothing listens on the endpoint: a check left until after connecting would exit 3
@@ -700,6 +719,15 @@ class TestSettingsTable:
         assert "weight" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["0.5,0.5,", "a,b,c", "0.5,0.5", "0.2,0.2,0.2,0.4", ""])
+    def test_unparsable_weights_flag_is_named(self, tmp_path, small_scenario, capsys, weights):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(small_scenario), "--weights", weights,
+                     "--out", str(out)]) == 2
+        assert (f"flag '--weights' needs three comma-separated numbers, got {weights!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("weights", ["0.3333333334,0.3333333334,0.3333333334",
                                          "0.5000000004,0.25,0.25"])
     def test_weights_summing_a_hair_above_one_decode(self, tmp_path, small_scenario, weights):
@@ -733,10 +761,28 @@ class TestSettingsTable:
         third = 1.0 / 3.0
         assert _engine_settings(load_scenario(f"builtin:{name}"), argparse.Namespace()) == {
             "decoder": DecoderConfig(weights=ScoringWeights(third, third, third), top_k=5,
-                                     continuity_scale=3.0, fixed_temperature=1.5),
+                                     continuity_scale=3.0, fixed_temperature=1.5,
+                                     max_new_tokens=64),
             "n_max": 5,
-            "max_new_tokens": 64,
         }
+
+
+_OUT_FLAGS = {"run": ("--out", "--trace", "--summary", "--save-trie"),
+              "simulate": ("--out", "--vocab-out", "--warmup-out")}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, flag",
+                             [(c, f) for c, flags in _OUT_FLAGS.items() for f in flags])
+    @pytest.mark.parametrize("bad", ["missing/file", ""], ids=["missing-dir", "a-dir"])
+    def test_unwritable_path_refused_before_any_output(self, tmp_path, small_scenario, capsys,
+                                                       command, flag, bad):
+        argv = [command, "--scenario", str(small_scenario)]
+        for name in _OUT_FLAGS[command]:
+            argv += [name, str(tmp_path / (bad if name == flag else name[2:]))]
+        assert main(argv) == 2
+        assert f"flag {flag!r} names" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTriesOnlyWhereRead:

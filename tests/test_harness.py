@@ -109,18 +109,17 @@ def test_generation_stops_at_eos_or_cap():
     registry, eos, stream, warmup, provider = _world()
     trie = PrefixTrie()
     warm_start(trie, warmup, 1.0)
-    decoder = Decoder(DecoderConfig(strategy="greedy"))
+    decoder = Decoder(DecoderConfig(strategy="greedy", max_new_tokens=6))
     ids, steps, priors = decode_sequence(
-        stream[0].prompt, trie, provider, decoder, now=60.0, max_new_tokens=6, eos_id=eos
+        stream[0].prompt, trie, provider, decoder, now=60.0, eos_id=eos
     )
     assert len(priors) == len(steps)
     assert len(steps) <= 6
     if len(steps) < 6:
         assert ids[-1] == eos
 
-    capped, _, _ = decode_sequence(
-        stream[0].prompt, trie, provider, decoder, now=60.0, max_new_tokens=2, eos_id=eos
-    )
+    decoder = Decoder(DecoderConfig(strategy="greedy", max_new_tokens=2))
+    capped, _, _ = decode_sequence(stream[0].prompt, trie, provider, decoder, now=60.0, eos_id=eos)
     assert len(capped) == len(stream[0].prompt) + 2
 
 
