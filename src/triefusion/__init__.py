@@ -20,7 +20,7 @@ from .fusion import (
     softmax_with_temperature,
 )
 from .harness import decode_sequence, run_online, warm_start
-from .lm import ExternalLogitProvider, NGramModel, UniformLogitProvider, train_ngram
+from .lm import ExternalLogitProvider, NGramModel, train_ngram
 from .metrics import MetricBundle, aggregate, aggregate_with_ci, evaluate_pair
 from .prior import (
     ScoringWeights,
@@ -57,7 +57,6 @@ __all__ = [
     "StreamItem",
     "TrieConfig",
     "TrieFusionError",
-    "UniformLogitProvider",
     "VocabRegistry",
     "adjust_confidences",
     "aggregate",

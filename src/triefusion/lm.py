@@ -54,14 +54,6 @@ class LogitProvider(abc.ABC):
                 raise ValueError(f"prefix token {token} outside vocabulary of {self.vocab_size}")
 
 
-class UniformLogitProvider(LogitProvider):
-    """All-zero logits; softmax is uniform for any prefix."""
-
-    def logits(self, prefix: Sequence[TokenId]) -> np.ndarray:
-        self._check_prefix(prefix)
-        return np.zeros(self._vocab_size)
-
-
 class NGramModel(LogitProvider):
     """Add-k smoothed n-gram model over the shared id space.
 

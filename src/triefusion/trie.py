@@ -43,10 +43,15 @@ independent of the in-memory layout::
     depth       I
     recency     d
     children    I
+
+Restore names in ``CorruptSnapshot`` the first record that breaks the format
+or repeats a sibling's token, and shares one object per distinct token and
+timestamp as inserting does, so a restored trie costs what the inserted one did.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import threading
@@ -184,7 +189,10 @@ class PrefixTrie:
     def snapshot(self) -> bytes:
         with self._lock:
             children, frequency, recency = self._children, self._frequency, self._recency
-            payload = bytearray(_HEADER.size + (len(children) - 1) * _NODE.size)
+            out = io.BytesIO()
+            out.seek(_HEADER.size + (len(children) - 1) * _NODE.size - 1)
+            out.write(b"\0")  # sizes the one buffer that the records are packed into
+            payload = out.getbuffer()
             _HEADER.pack_into(payload, 0, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.config.n_max,
                               self._last_timestamp, len(children) - 1, self._total_insertions,
                               len(children[0]))
@@ -203,15 +211,15 @@ class PrefixTrie:
                         break
                 else:
                     stack.pop()
-        return bytes(payload)
+            payload.release()
+        return out.getvalue()  # with no view left, the buffer itself, not a copy
 
     @classmethod
     def restore(cls, payload: bytes) -> "PrefixTrie":
         if len(payload) < _HEADER.size:
             raise CorruptSnapshot("payload shorter than header")
-        magic, version, n_max, last_ts, node_count, inserted, root_kids = _HEADER.unpack_from(
-            payload, 0
-        )
+        magic, version, n_max, last_ts, node_count, inserted, root_kids = (
+            _HEADER.unpack_from(payload, 0))
         if magic != SNAPSHOT_MAGIC:
             raise CorruptSnapshot(f"bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
@@ -227,36 +235,37 @@ class PrefixTrie:
             raise CorruptSnapshot(f"declared {node_count} nodes, found {len(records)} record bytes")
 
         children, frequency_of, recency_of = trie._children, trie._frequency, trie._recency
-        pending = [[0, root_kids]]  # [node id, children still to read] per level
-        for token, freq, depth, recency, kids in _NODE.iter_unpack(records):
-            while pending and pending[-1][1] == 0:
-                pending.pop()
-            if not pending:
-                raise CorruptSnapshot("records past the last declared child")
-            pending[-1][1] -= 1
-            parent = pending[-1][0]
-            if depth != len(pending):  # the parent's depth is the stack height less one
-                raise CorruptSnapshot(f"depth {depth} under parent depth {len(pending) - 1}")
-            if freq < 1:
-                raise CorruptSnapshot(f"node frequency {freq} below 1")
-            if parent and freq > frequency_of[parent]:  # the root keeps no frequency
+        frequency_of[0] = 1 << 64  # above any u64, so a root child's frequency has no cap
+        path = [0] * (min(n_max, node_count) + 1)  # node ids on the current path, root first
+        declared, top = [root_kids], 0  # child counts by node id; the previous record's depth
+        # one object per distinct token and per timestamp (3 == 3.0), as inserting shares them
+        token_of, stamp_of = {}.setdefault, {}.setdefault
+        for node, (token, freq, depth, recency, kids) in enumerate(_NODE.iter_unpack(records), 1):
+            if not 0 < depth <= top + 1 or depth > n_max:
                 raise CorruptSnapshot(
-                    f"node frequency {freq} above its parent's {frequency_of[parent]}"
-                )
+                    f"record {node - 1}: depth {depth} after depth {top}, n_max {n_max}")
+            parent = path[depth - 1]
+            if not 1 <= freq <= frequency_of[parent]:
+                raise CorruptSnapshot(f"record {node - 1}: frequency {freq} " + (
+                    "below 1" if freq < 1 else f"above its parent's {frequency_of[parent]}"))
             if not 0.0 < recency <= last_ts:
-                raise CorruptSnapshot(f"node recency {recency!r} outside (0, {last_ts}]")
-            if kids and depth >= n_max:
-                raise CorruptSnapshot(f"node at depth {depth} has children; n_max is {n_max}")
-            if token in children[parent]:
-                raise CorruptSnapshot(f"duplicate child token {token}")
-            node = children[parent][token] = len(children)
+                raise CorruptSnapshot(f"record {node - 1}: recency {recency} not in (0, {last_ts}]")
+            children[parent][token_of(token, token)] = node
             children.append({})
             frequency_of.append(freq)
-            recency_of.append(recency)
-            if kids:
-                pending.append([node, kids])
-        if any(remaining for _, remaining in pending):
-            raise CorruptSnapshot(f"child counts declare more than {node_count} nodes")
+            recency_of.append(stamp_of(recency, recency))
+            declared.append(kids)
+            path[depth], top = node, depth
+        frequency_of[0] = 0
+        if sum(declared) != node_count or declared != list(map(len, children)):
+            # a repeated token drops the earlier sibling from every map, even where counts agree
+            kept = {node for kids in children for node in kids.values()}
+            node = next((node for node in range(1, len(children)) if node not in kept), 0)
+            if node:
+                raise CorruptSnapshot(f"record {node - 1}: a later sibling repeats its token")
+            node = next(node for node, kids in enumerate(children) if len(kids) != declared[node])
+            raise CorruptSnapshot(f"{f'record {node - 1}' if node else 'the header'} declares "
+                                  f"{declared[node]} children, {len(children[node])} follow")
         trie._total_insertions = inserted
         trie._last_timestamp = last_ts
         return trie

@@ -1,7 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from triefusion.trie import PrefixTrie
 from triefusion.vocab import VocabRegistry, tokenize
+
+# Under CI, property tests draw the same examples on every run, keep no example
+# database, and print a blob that replays a failure with @reproduce_failure, so
+# a failing GitHub Actions run reproduces locally with CI=1.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Figure-style two-sentence corpus: one older, one newer insertion.
 T_OLD = 1758658460.0

@@ -10,12 +10,20 @@ import pytest
 from triefusion.errors import EmptyCorpus, ProviderUnavailable
 from triefusion.lm import (
     ExternalLogitProvider,
+    LogitProvider,
     NGramModel,
     PROTOCOL_VERSION,
-    UniformLogitProvider,
     serve_logits,
     train_ngram,
 )
+
+
+class UniformLogitProvider(LogitProvider):
+    """All-zero logits; softmax is uniform for any prefix."""
+
+    def logits(self, prefix):
+        self._check_prefix(prefix)
+        return np.zeros(self.vocab_size)
 
 
 @pytest.mark.parametrize("build", [

@@ -264,34 +264,44 @@ class TestRestoreConsistency:
         assert PrefixTrie.restore(payload).snapshot() == payload
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
             # node 1,2 (depth 2) keeps its child although n_max is now 2
-            lambda p: _patch_header(p, n_max=2),
-            lambda p: _patch_header(p, last_ts=math.inf),
-            lambda p: _patch_header(p, last_ts=math.nan),
-            lambda p: _patch_node(p, 0, recency=math.nan),
-            lambda p: _patch_node(p, 0, recency=0.0),
-            lambda p: _patch_node(p, 0, recency=7.5),
+            (lambda p: _patch_header(p, n_max=2), "record 2: depth 3 after depth 2, n_max 2"),
+            (lambda p: _patch_header(p, last_ts=math.inf), "newest timestamp inf"),
+            (lambda p: _patch_header(p, last_ts=math.nan), "newest timestamp nan"),
+            (lambda p: _patch_node(p, 0, recency=math.nan), r"record 0: recency nan not in \(0, 7"),
+            (lambda p: _patch_node(p, 0, recency=0.0), r"record 0: recency 0.0 not in \(0, 7"),
+            (lambda p: _patch_node(p, 0, recency=7.5), r"record 0: recency 7.5 not in \(0, 7"),
             # node 1,2 seen once under node 1 seen twice
-            lambda p: _patch_node(p, 1, frequency=3),
+            (lambda p: _patch_node(p, 1, frequency=3), "record 1: frequency 3 above its parent"),
             # depths are read back from the path, so the record's must match it
-            lambda p: _patch_node(p, 0, depth=0),
-            lambda p: _patch_node(p, 1, depth=3),
+            (lambda p: _patch_node(p, 0, depth=0), "record 0: depth 0 after depth 0"),
+            (lambda p: _patch_node(p, 1, depth=3), "record 1: depth 3 after depth 1"),
             # the root declares two children, but a third record follows them
-            lambda p: _patch_header(p, root_kids=2),
-            lambda p: _patch_node(p, 5, frequency=0),
+            (lambda p: _patch_header(p, root_kids=2), "the header declares 2 children, 3 follow"),
+            (lambda p: _patch_node(p, 5, frequency=0), "record 5: frequency 0 below 1"),
             # root child 2 becomes a second root child 1
-            lambda p: _patch_node(p, 3, token=1),
+            (lambda p: _patch_node(p, 3, token=1), "record 0: a later sibling repeats its token"),
+            # node 2,3 declares a child that never comes
+            (lambda p: _patch_node(p, 4, children=1), "record 4 declares 1 children, 0 follow"),
+            # root child 3 becomes a second root child 2, and the root declares one child
+            # fewer, so every declared count matches its map
+            (lambda p: _patch_header(bytearray(_patch_node(p, 5, token=2)), root_kids=2),
+             "record 3: a later sibling repeats its token"),
         ],
         ids=["children-at-n-max", "inf-last-ts", "nan-last-ts", "nan-recency",
              "zero-recency", "recency-after-last-ts", "frequency-above-parent",
              "root-child-at-depth-0", "depth-skips-a-level", "extra-record",
-             "zero-frequency", "duplicate-token"],
+             "zero-frequency", "duplicate-token", "missing-record",
+             "repeat-behind-matching-counts"],
     )
-    def test_inconsistent_snapshot_rejected(self, corrupt):
+    def test_inconsistent_snapshot_rejected(self, corrupt, message):
+        payload = corrupt(_chain_snapshot())
+        with pytest.raises(CorruptSnapshot, match=f"^{message}"):
+            PrefixTrie.restore(payload)
         with pytest.raises(CorruptSnapshot):
-            PrefixTrie.restore(corrupt(_chain_snapshot()))
+            trie_ref.PrefixTrie.restore(payload)
 
 
 def _assert_consistent(trie):
@@ -343,6 +353,102 @@ def test_restore_yields_consistent_trie_or_raises(payload):
     except (CorruptSnapshot, VersionMismatch):
         return
     _assert_consistent(trie)
+
+
+def _small_snapshots() -> list[bytes]:
+    """Snapshots of 30 small random tries: n_max 2-4, tokens 0-3, many equal stamps."""
+    payloads = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        trie, stamp = PrefixTrie(n_max=rng.randint(2, 4)), 1.0
+        for _ in range(rng.randrange(1, 6)):
+            stamp += rng.choice([0.0, 0.0, 1.5])
+            trie.insert_sequence([rng.randrange(4) for _ in range(rng.randrange(1, 6))], stamp)
+        payloads.append(trie.snapshot())
+    return payloads
+
+
+_SMALL_SNAPSHOTS = _small_snapshots()
+_RECORD_VALUES = {
+    "token": st.integers(min_value=0, max_value=4),
+    "frequency": st.integers(min_value=0, max_value=4),
+    "depth": st.integers(min_value=0, max_value=5),
+    "recency": st.sampled_from([0.0, 1.0, 1.5, 2.5, 4.0, 9.0, math.nan]),
+    "children": st.integers(min_value=0, max_value=4),
+}
+
+
+@st.composite
+def _mutated_small_snapshot(draw):
+    """1-3 edits to a small snapshot: a record field set to a nearby value, a
+    record dropped or repeated (the node count kept true), a root child count,
+    or a byte. The field edits make the structural faults a byte flip rarely does.
+    """
+    payload = bytearray(draw(st.sampled_from(_SMALL_SNAPSHOTS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        nodes = (len(payload) - _HEADER.size) // _NODE.size
+        edit = draw(st.sampled_from(["field", "field", "drop", "repeat", "root", "byte"]))
+        if edit in ("field", "drop", "repeat") and nodes:
+            index = draw(st.integers(min_value=0, max_value=nodes - 1))
+            if edit == "field":
+                field = draw(st.sampled_from(sorted(_RECORD_VALUES)))
+                _patch_node(payload, index, **{field: draw(_RECORD_VALUES[field])})
+            else:
+                start = _HEADER.size + index * _NODE.size
+                record = payload[start : start + _NODE.size]
+                payload[start : start + _NODE.size] = record * 2 if edit == "repeat" else b""
+                _patch_header(payload, nodes=nodes + (1 if edit == "repeat" else -1))
+        elif edit == "root":
+            _patch_header(payload, root_kids=draw(st.integers(min_value=0, max_value=5)))
+        else:
+            position = draw(st.integers(min_value=0, max_value=len(payload) - 1))
+            payload[position] = draw(st.integers(min_value=0, max_value=255))
+    return bytes(payload)
+
+
+def _restored_or_error(restore, payload):
+    try:
+        return restore(payload).snapshot()
+    except (CorruptSnapshot, VersionMismatch) as exc:
+        return type(exc)
+
+
+@given(_mutated_small_snapshot())
+@settings(max_examples=600, deadline=None)
+def test_restore_agrees_with_reference(payload):
+    """The same error class as the reference restore, or a trie with its bytes."""
+    assert (_restored_or_error(PrefixTrie.restore, payload)
+            == _restored_or_error(trie_ref.PrefixTrie.restore, payload))
+
+
+def test_restored_trie_shares_objects_as_inserted_does():
+    pool = list(range(1000, 1006))  # ids past the small-int cache: one object per value
+    stamps = [1.0, 2.5, 4.0]
+    rng = random.Random(11)
+    history = [([rng.choice(pool) for _ in range(rng.randrange(1, 8))], stamps[k // 4])
+               for k in range(12)]  # four inserts per stamp
+    inserted = PrefixTrie(n_max=4)
+    for seq, stamp in history[:8]:
+        inserted.insert_sequence(seq, stamp)
+    restored = PrefixTrie.restore(inserted.snapshot())
+
+    def objects(trie):
+        """Distinct child-map keys and recencies, by value and by identity."""
+        keys = [token for kids in trie._children for token in kids]
+        return (len(set(keys)), len(set(map(id, keys))),
+                len(set(trie._recency)), len(set(map(id, trie._recency))))
+
+    assert objects(restored) == objects(inserted)
+    distinct_keys, key_objects, distinct_stamps, stamp_objects = objects(restored)
+    assert (key_objects, stamp_objects) == (distinct_keys, distinct_stamps) == (6, 3)
+    assert type(inserted.snapshot()) is bytes and type(restored.snapshot()) is bytes
+
+    reference = trie_ref.PrefixTrie.restore(restored.snapshot())
+    for seq, stamp in history[8:]:
+        assert restored.insert_sequence(seq, stamp) == reference.insert_sequence(seq, stamp)
+    assert restored.snapshot() == reference.snapshot()
+    assert [restored.next_tokens(seq) for seq, _ in history] == [
+        _read(reference, seq) for seq, _ in history]
 
 
 class TestOracleEquivalence:
