@@ -628,8 +628,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trie(args) -> int:
+    if args.vocab is not None and not args.dump:
+        raise ValueError("flag '--vocab' is not read without --dump")
     trie = PrefixTrie.restore(Path(args.snapshot).read_bytes())
-    registry = VocabRegistry.load(args.vocab) if args.dump and args.vocab else None
+    registry = VocabRegistry.load(args.vocab) if args.vocab is not None else None
     if registry is not None:  # checked before any output: a short vocabulary prints nothing
         top = max((record[0] for record in trie.walk()), default=-1)
         if top >= len(registry):

@@ -8,12 +8,23 @@ one distinct windowed n-gram and stores:
 * ``recency``    -- the newest timestamp among its occurrences.
 
 Nodes are integer ids into three per-node columns, node 0 being the root: a
-list of child maps (token -> node id) and plain lists of frequency and
-recency. A node's token is its key in its parent's map and its depth is the
+list of child maps and plain lists of frequency and recency. A child map
+holds ``token -> child id - node id``, so the root's offsets are absolute
+ids. A node's token is its key in its parent's map and its depth is the
 length of its path, so neither is stored. Child maps keep insertion order,
-which fixes the preorder of snapshots and the order of lookups. A map that
-holds only ints is not tracked by the garbage collector, so the trie adds
-three tracked objects (its column lists) however many nodes it holds.
+which fixes the preorder of snapshots and the order of lookups.
+
+Most nodes own no map. Every leaf holds the one module-level empty map,
+which is never written. A *lone child* is a node's only child whose id is
+its parent's plus one: every chain an insert creates, and every first child
+in a restored preorder, since both append a node right after its parent. A
+lone child's parent holds the trie's one ``{token: 1}`` map for that token.
+A node gets a map of its own only when it takes a second child, or a first
+child that is not at +1; a shared map is copied, never written. So most
+nodes cost only their three column slots, and a trie of random sequences
+about 50 bytes a node. A map that holds only ints is not tracked by the
+garbage collector, so the trie adds four tracked objects (its column lists
+and its table of lone-child maps) however many nodes it holds.
 
 The one lookup, ``next_tokens``, reads the same columns for the decoding
 prior: one walk per suffix of the context shorter than n_max, all under one
@@ -99,12 +110,26 @@ class TrieStats(NamedTuple):
     total_insertions: int
 
 
+_LEAF: dict[TokenId, int] = {}  # every leaf's child map; never written
+
+
+class _LoneMaps(dict):
+    """``token -> {token: 1}``, the one map shared by every parent of a lone child."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        kids = self[token] = {token: 1}
+        return kids
+
+
 class PrefixTrie:
     def __init__(self, n_max: int = 5):
         self.config = TrieConfig(n_max)
         self._children: list[dict[TokenId, int]] = [{}]
         self._frequency: list[int] = [0]
         self._recency: list[float] = [0.0]
+        self._lone = _LoneMaps()
         self._total_insertions = 0
         self._last_timestamp = 0.0
         self._lock = threading.Lock()
@@ -131,20 +156,52 @@ class PrefixTrie:
                 f"timestamp {timestamp} predates last accepted {self._last_timestamp}"
             )
         n_max = self.config.n_max
-        children, frequency, recency = self._children, self._frequency, self._recency
+        children, frequency, recency, lone = (
+            self._children, self._frequency, self._recency, self._lone)
         with self._lock:
-            for start in range(len(tokens)):
-                node = 0
-                for token in tokens[start : start + n_max]:
-                    child = children[node].get(token)
-                    if child is None:
-                        child = children[node][token] = len(children)
-                        children.append({})
-                        frequency.append(0)
-                        recency.append(0.0)
-                    frequency[child] += 1
-                    recency[child] = timestamp  # never older: timestamps do not decrease
-                    node = child
+            root = children[0]  # its offsets are ids
+            for start, token in enumerate(tokens):
+                rest = iter(tokens[start + 1 : start + n_max])
+                try:
+                    node = root[token]
+                except KeyError:
+                    node = root[token] = len(children)
+                else:
+                    frequency[node] += 1
+                    recency[node] = timestamp  # never older: timestamps do not decrease
+                    # The step to depth 2 is where a window of a varied corpus most often
+                    # leaves the known paths, so it looks up (a None costs less than a
+                    # KeyError); a window that gets deeper mostly goes on, so it subscripts.
+                    for token in rest:
+                        step = children[node].get(token)
+                        if step is None:
+                            break
+                        node += step
+                        frequency[node] += 1
+                        recency[node] = timestamp
+                        try:  # takes the rest of the window, so the lookup loop ends with it
+                            for token in rest:
+                                node += children[node][token]
+                                frequency[node] += 1
+                                recency[node] = timestamp
+                        except KeyError:
+                            break
+                    else:
+                        continue
+                    # token is the first of the window not yet below node
+                    child, kids = len(children), children[node]
+                    if kids is _LEAF:
+                        children[node] = lone[token] if child == node + 1 else {token: child - node}
+                    else:
+                        if len(kids) == 1:  # perhaps a shared lone-child map
+                            kids = children[node] = kids.copy()
+                        kids[token] = child - node
+                # a new node, last in the columns: the rest of the window is a chain below it
+                children += map(lone.__getitem__, rest)
+                children.append(_LEAF)
+                added = len(children) - len(frequency)
+                frequency += [1] * added
+                recency += [timestamp] * added
             self._last_timestamp = timestamp
             self._total_insertions += len(tokens)
         # the first len - depth + 1 starts update depth nodes each, the rest depth - 1 down to 1
@@ -167,13 +224,14 @@ class PrefixTrie:
             for length in range(min(len(context), self.config.n_max - 1), 0, -1):
                 node = 0
                 for token in context[len(context) - length :]:
-                    node = children[node].get(token)
-                    if node is None:
+                    step = children[node].get(token)
+                    if step is None:
                         break
+                    node += step
                 else:
                     kids = children[node]
                     if kids:
-                        nodes = kids.values()
+                        nodes = list(map(node.__add__, kids.values()))
                         groups.append(SuffixColumns(length + 1, list(kids),
                                                     list(map(frequency.__getitem__, nodes)),
                                                     list(map(recency.__getitem__, nodes))))
@@ -196,18 +254,28 @@ class PrefixTrie:
             _HEADER.pack_into(payload, 0, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.config.n_max,
                               self._last_timestamp, len(children) - 1, self._total_insertions,
                               len(children[0]))
-            pack_into, offset = _NODE.pack_into, _HEADER.size
-            # preorder: one live child iterator per level, so a node's depth is
-            # the stack height and the walk allocates nothing per leaf
-            stack = [iter(children[0].items())]
+            pack_into, offset, size = _NODE.pack_into, _HEADER.size, _NODE.size
+            # preorder: per level with siblings, a live child iterator, the id its
+            # offsets start from and its depth; an only child follows its parent in
+            # the same step, so a chain takes no iterator and the walk allocates
+            # nothing per leaf
+            stack = [(iter(children[0].items()), 0, 1)]
             while stack:
-                for token, node in stack[-1]:
-                    kids = children[node]
-                    pack_into(payload, offset, token, frequency[node], len(stack),
-                              recency[node], len(kids))
-                    offset += _NODE.size
+                items, base, depth = stack[-1]
+                for token, step in items:
+                    node, below = base + step, depth
+                    while True:
+                        kids = children[node]
+                        pack_into(payload, offset, token, frequency[node], below, recency[node],
+                                  len(kids))
+                        offset += size
+                        if len(kids) != 1:
+                            break
+                        (token, step), = kids.items()
+                        node += step
+                        below += 1
                     if kids:
-                        stack.append(iter(kids.items()))
+                        stack.append((iter(kids.items()), node, below + 1))
                         break
                 else:
                     stack.pop()
@@ -234,32 +302,48 @@ class PrefixTrie:
         if len(records) != node_count * _NODE.size:
             raise CorruptSnapshot(f"declared {node_count} nodes, found {len(records)} record bytes")
 
-        children, frequency_of, recency_of = trie._children, trie._frequency, trie._recency
+        children, frequency_of, recency_of, lone = [], trie._frequency, trie._recency, trie._lone
         frequency_of[0] = 1 << 64  # above any u64, so a root child's frequency has no cap
         path = [0] * (min(n_max, node_count) + 1)  # node ids on the current path, root first
         declared, top = [root_kids], 0  # child counts by node id; the previous record's depth
+        above = 2  # the previous record's declared child count; the root's map is its own
         # one object per distinct token and per timestamp (3 == 3.0), as inserting shares them
         token_of, stamp_of = {}.setdefault, {}.setdefault
+        # A node's map is appended at the record after it, which is its first child if
+        # it has any: preorder puts a first child right after its parent, at +1.
         for node, (token, freq, depth, recency, kids) in enumerate(_NODE.iter_unpack(records), 1):
-            if not 0 < depth <= top + 1 or depth > n_max:
-                raise CorruptSnapshot(
-                    f"record {node - 1}: depth {depth} after depth {top}, n_max {n_max}")
-            parent = path[depth - 1]
+            token = token_of(token, token)
+            if depth > top:  # the first child of the record before
+                if depth > top + 1 or depth > n_max:
+                    raise CorruptSnapshot(
+                        f"record {node - 1}: depth {depth} after depth {top}, n_max {n_max}")
+                parent = node - 1
+                children.append(lone[token] if above < 2 else {token: 1})
+            else:
+                if not depth:
+                    raise CorruptSnapshot(
+                        f"record {node - 1}: depth {depth} after depth {top}, n_max {n_max}")
+                parent = path[depth - 1]
+                children.append(_LEAF)  # the record before is a leaf
+                if declared[parent] > 1 or len(children[parent]) > 1:
+                    children[parent][token] = node - parent
+                else:  # a child past the one declared: a lone-child map is shared, so copy it
+                    children[parent] = {**children[parent], token: node - parent}
             if not 1 <= freq <= frequency_of[parent]:
                 raise CorruptSnapshot(f"record {node - 1}: frequency {freq} " + (
                     "below 1" if freq < 1 else f"above its parent's {frequency_of[parent]}"))
             if not 0.0 < recency <= last_ts:
                 raise CorruptSnapshot(f"record {node - 1}: recency {recency} not in (0, {last_ts}]")
-            children[parent][token_of(token, token)] = node
-            children.append({})
             frequency_of.append(freq)
             recency_of.append(stamp_of(recency, recency))
             declared.append(kids)
-            path[depth], top = node, depth
+            path[depth], top, above = node, depth, kids
+        children.append(_LEAF if children else {})  # the last record's, or an empty root's
+        trie._children = children
         frequency_of[0] = 0
         if sum(declared) != node_count or declared != list(map(len, children)):
             # a repeated token drops the earlier sibling from every map, even where counts agree
-            kept = {node for kids in children for node in kids.values()}
+            kept = {parent + step for parent, kids in enumerate(children) for step in kids.values()}
             node = next((node for node in range(1, len(children)) if node not in kept), 0)
             if node:
                 raise CorruptSnapshot(f"record {node - 1}: a later sibling repeats its token")

@@ -255,6 +255,18 @@ class TestRun:
         assert captured.out == ""
         assert "outside the 5-token --vocab" in captured.err
 
+    def test_trie_vocab_without_dump_is_refused(self, tmp_path, capsys):
+        snap = tmp_path / "trie.bin"
+        trie = PrefixTrie(n_max=3)
+        trie.insert_sequence([1, 2], 1.0)
+        snap.write_bytes(trie.snapshot())
+        # the vocabulary is never opened: the flag is refused before any file is read
+        assert main(["trie", "--snapshot", str(snap), "--vocab",
+                     str(tmp_path / "missing" / "v.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "flag '--vocab' is not read without --dump" in captured.err
+
     def test_corrupt_snapshot_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")

@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from triefusion.errors import (
     TimestampRegression,
     VersionMismatch,
 )
-from triefusion.trie import _HEADER, _NODE, PrefixTrie, SuffixColumns, TrieConfig
+from triefusion.trie import _HEADER, _LEAF, _NODE, PrefixTrie, SuffixColumns, TrieConfig
 from triefusion.vocab import tokenize
 
 
@@ -558,6 +560,31 @@ def test_trie_holds_no_gc_tracked_nodes():
     assert len(gc.get_objects()) - before < 100
 
 
+def _traced(build):
+    """``build()`` and the bytes still allocated after it, traced by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trie_costs_at_most_80_bytes_a_node():
+    # leaves and lone children share their child maps, so most nodes are only
+    # their three column slots; a dict per node costs about 240 bytes
+    trie, inserted = _traced(_random_trie)
+    payload = trie.snapshot()
+    restored, restored_bytes = _traced(lambda: PrefixTrie.restore(payload))
+    nodes = trie.stats().node_count
+    assert restored.stats().node_count == nodes == 60_848
+    assert inserted / nodes <= 80
+    assert restored_bytes / nodes <= 80
+
+
 def test_snapshot_runs_no_collection():
     # a walk that holds one tracked object per node (a list of tuples, say)
     # sets off collections; the column walk allocates per level, not per node
@@ -624,3 +651,71 @@ def test_trie_equals_five_column_reference(history):
     assert _observed(trie, windows) == expected
     assert _observed(PrefixTrie.restore(reference.snapshot()), windows) == expected
     assert _observed(trie_ref.PrefixTrie.restore(trie.snapshot()), windows) == expected
+
+
+def _second_child_payloads(payload):
+    """For up to three parents of a lone child, the payload with a copy of that child,
+    token 99, right after it: the parent gets a second child it does not declare."""
+    nodes = (len(payload) - _HEADER.size) // _NODE.size
+    records = list(_NODE.iter_unpack(payload[_HEADER.size :]))
+    for index in [i for i, record in enumerate(records) if record[4] == 1][:3]:
+        child = _HEADER.size + (index + 1) * _NODE.size
+        extra = _NODE.pack(99, *records[index + 1][1:])
+        bad = bytearray(payload[: child + _NODE.size] + extra + payload[child + _NODE.size :])
+        yield _patch_header(bad, nodes=nodes + 1)
+
+
+def test_undeclared_children_are_rejected_in_linear_time():
+    # 60,000 root children under a header that declares one: the shared map is
+    # copied once, not once per child, so restore fails fast
+    payload = bytearray(_HEADER.pack(b"PTR1", 1, 3, 1.0, 60_000, 60_000, 1))
+    for token in range(60_000):
+        payload += _NODE.pack(token, 1, 1, 1.0, 0)
+    started = time.process_time()
+    with pytest.raises(CorruptSnapshot, match="^the header declares 1 children, 60000 follow"):
+        PrefixTrie.restore(bytes(payload))
+    assert time.process_time() - started < 5.0
+
+
+@st.composite
+def _split_history(draw):
+    """``n_max`` and two runs of 1-8 sequences of 1-8 ids in [0, 7]."""
+    n_max = draw(st.integers(min_value=2, max_value=5))
+    runs = [draw(st.lists(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8),
+                          min_size=1, max_size=8)) for _ in range(2)]
+    return n_max, runs
+
+
+@given(_split_history())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_shared_child_maps_are_never_written(history):
+    n_max, (first, later) = history
+    made = []
+
+    class Traced(PrefixTrie):
+        def __init__(self, n_max=5):
+            super().__init__(n_max)
+            made.append(self)
+
+    inserted, reference = Traced(n_max), trie_ref.PrefixTrie(n_max)
+    for stamp, seq in enumerate(first, 1):
+        inserted.insert_sequence(seq, float(stamp))
+        reference.insert_sequence(seq, float(stamp))
+    restored = Traced.restore(inserted.snapshot())
+    for payload in _second_child_payloads(inserted.snapshot()):
+        with pytest.raises(CorruptSnapshot, match="repeats its token|children"):
+            Traced.restore(payload)
+    for stamp, seq in enumerate(later, len(first) + 1):
+        for trie in (inserted, restored, reference):
+            trie.insert_sequence(seq, float(stamp))
+
+    windows = [seq[start:end] for seq in first + later
+               for start in range(len(seq)) for end in range(start + 1, len(seq) + 1)]
+    expected = [_read(reference, window) for window in windows]
+    for trie in (inserted, restored):
+        assert trie.snapshot() == reference.snapshot()
+        assert [trie.next_tokens(window) for window in windows] == expected
+    assert _LEAF == {}
+    assert len(made) >= 2
+    for trie in made:
+        assert all(kids == {token: 1} for token, kids in trie._lone.items())
