@@ -270,20 +270,7 @@ def calibrate_temperature(
     return CalibrationResult(mid, False, max_iterations, False, softmax_with_temperature(z, mid))
 
 
-# exp(x) is exactly 0 for x below about -745.13, so at the floor temperature every
-# entry this far or farther below the peak has an exp of 0 (x <= -750)
-_FLOOR_REACH = 7.5e-7
-
-
 def _clamped(z: LogitVector, temperature: float) -> CalibrationResult:
-    if temperature == TEMPERATURE_FLOOR:
-        # with no entry in (-_FLOOR_REACH, 0) below the peak, the exp row is 1 at the
-        # peak's ties and 0 elsewhere: the softmax's own floats without the exp pass
-        shifted = z - z.max()
-        peak = shifted == 0
-        ties = np.count_nonzero(peak)
-        if ties and ties == np.count_nonzero(shifted > -_FLOOR_REACH):
-            return CalibrationResult(temperature, True, 0, True, peak / ties)
     return CalibrationResult(temperature, True, 0, True, softmax_with_temperature(z, temperature))
 
 

@@ -16,9 +16,7 @@ from hypothesis import given, settings, strategies as st
 import fusion_ref as ref
 import prior_ref
 
-from triefusion import fusion
 from triefusion.fusion import (
-    TEMPERATURE_FLOOR,
     calibrate_temperature,
     entropy_confidence,
     fuse_step,
@@ -117,47 +115,6 @@ class TestConverged:
         z = np.array([2.0, 0.0])
         assert calibrate_temperature(z, 0.6) == calibrate_temperature(z, 0.6)
         assert calibrate_temperature(z, 0.6) != calibrate_temperature(z, 0.6, max_iterations=2)
-
-
-def _floor_rows():
-    """Rows for the floor clamp: ties at the peak, an entry just inside or just past the
-    exp's reach below it, and n-gram-shaped rows (a few observed logits over one tail)."""
-    rng = np.random.default_rng(20261020)
-    reach = fusion._FLOOR_REACH
-    for size, count in {2: 300, 3: 300, 29: 300, 2048: 80, 32768: 20}.items():
-        for i in range(count):
-            kind = i % 5
-            if kind == 4:  # n-gram: log counts over the shared smoothing tail
-                z = np.full(size, math.log(0.5))
-                seen = rng.choice(size, size=min(size, int(rng.integers(1, 6))), replace=False)
-                z[seen] = np.log(rng.integers(1, 4, size=seen.size) + 0.5)
-            else:
-                z = rng.normal(scale=rng.uniform(0.5, 8.0), size=size)
-                z[rng.integers(size, size=max(1, size // (2 + kind)))] = z.max()
-            if kind in (1, 2, 3) and size > 2:
-                # just inside the reach, exactly at it, just past it
-                gap = (rng.uniform(1e-15, reach), reach, reach * (1 + 1e-9))[kind - 1]
-                z[rng.integers(size)] = z.max() - gap
-            yield z
-
-
-def test_floor_clamp_skips_the_exp_with_the_softmax_floats(monkeypatch):
-    """Bit for bit the floor softmax, and the exp pass only for rows that need it."""
-    exact = []
-    monkeypatch.setattr(fusion, "softmax_with_temperature",
-                        lambda z, t: exact.append(z.size) or softmax_with_temperature(z, t))
-    rows = 0
-    for z in _floor_rows():
-        shifted = z - z.max()
-        near = np.count_nonzero((shifted < 0) & (shifted > -fusion._FLOOR_REACH))
-        calls = len(exact)
-        probs = fusion._clamped(z, TEMPERATURE_FLOOR).probs
-        assert probs.tobytes() == softmax_with_temperature(z, TEMPERATURE_FLOOR).tobytes()
-        assert probs.tobytes() == ref.softmax_with_temperature(z, TEMPERATURE_FLOOR).tobytes()
-        assert len(exact) - calls == (1 if near else 0)
-        rows += 1
-    assert rows == 1_000
-    assert 0 < len(exact) < rows / 2
 
 
 def _prob_rows():
