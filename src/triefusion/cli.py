@@ -9,7 +9,10 @@ Subcommands:
 * ``train-lm``  build and save the add-k n-gram model
 
 Exit codes: 0 success, 1 usage error, 2 configuration or validation error,
-3 runtime error (for example an unreachable external logit provider).
+3 runtime error (an unreachable external logit provider, a failed output
+write). A subcommand reads its inputs inside one ``_reading()`` block, where a
+``ValueError`` or ``OSError`` is bad input; past it, any other error is a
+fault of the program and leaves ``main`` with its traceback.
 
 A scenario is a JSON file declaring templates, concepts, the drift
 schedule, the seed, and engine defaults; see the bundled
@@ -24,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -185,8 +189,9 @@ def _build_warmup_texts(scenario: dict, concepts: Sequence[ConceptSpec], seed: i
     ]
 
 
-def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -> StreamItem:
-    """Row ``position`` of a stream file, rejected if decoding would fail on or mis-score it."""
+def _stream_item(position: int, row, registry: VocabRegistry, previous: tuple) -> StreamItem:
+    """Row ``position`` of a stream file, rejected if decoding would fail on or mis-score it,
+    or if it comes before ``previous``, a (timestamp, index) pair."""
     where = f"stream item {position}"
     row = typed(dict, row, position, "stream item")
     reference = typed(str, row.get("reference", MISSING), "reference", where)
@@ -201,6 +206,7 @@ def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -
             for j, (kind, part) in enumerate(zip((str, int, int, str), span))
         )))
     timestamp = typed(float, row.get("timestamp", MISSING), "timestamp", where)
+    index = typed(int, row.get("index", MISSING), "index", where)
     for span in spans:
         if not 0 <= span.start < span.end <= len(ids):
             raise ValueError(
@@ -210,13 +216,17 @@ def _stream_item(position: int, row, registry: VocabRegistry, previous: float) -
     first_span = min((span.start for span in spans), default=len(ids))
     if not 0 <= prompt_len <= first_span:
         raise ValueError(f"{where}: prompt_len {prompt_len} is not within [0, {first_span}]")
-    if not (timestamp > 0 and timestamp >= previous):
+    last_timestamp, last_index = previous
+    if not (timestamp > 0 and timestamp >= last_timestamp):
         raise ValueError(
-            f"{where}: timestamp {timestamp!r} must be > 0 and "
-            f"not before the previous item's {previous}"
+            f"{where}: timestamp {timestamp!r} must be > 0 and not before "
+            f"{last_timestamp}, the warm-up's or the previous item's"
         )
+    if not index > last_index:  # the drift summary splits items on index
+        raise ValueError(f"{where} 'index' needs an integer >= 0 and above the "
+                         f"previous item's, got {index}")
     return StreamItem(
-        index=typed(int, row.get("index", MISSING), "index", where),
+        index=index,
         prompt=ids[:prompt_len],
         reference=ids,
         timestamp=timestamp,
@@ -253,17 +263,18 @@ def build_experiment(
     timestamp_step = typed(float, scenario.get("timestamp_step", DEFAULT_TIMESTAMP_STEP),
                            "timestamp_step")
 
+    warm = _section(scenario, "warmup")
+    into_trie = typed(bool, warm.get("insert_into_trie", True), "warmup.insert_into_trie")
     if stream_items is None:
         length = typed(int, scenario["length"], "length")
         stream = generate_stream(templates, schedule, length, registry, timestamp_step)
     else:
+        # warm-up goes into the trie at half a step (see execute_strategy)
         stream = []
+        previous = (timestamp_step * 0.5 if into_trie and warmup_corpus else 0.0, -1)
         for position, row in enumerate(stream_items):
-            previous = stream[-1].timestamp if stream else 0.0
             stream.append(_stream_item(position, row, registry, previous))
-
-    warm = _section(scenario, "warmup")
-    into_trie = typed(bool, warm.get("insert_into_trie", True), "warmup.insert_into_trie")
+            previous = (stream[-1].timestamp, stream[-1].index)
     return Experiment(
         scenario=scenario,
         seed=seed,
@@ -486,7 +497,9 @@ def write_summary(payload: dict, path: Path) -> None:
 
 def _telemetry(experiment: Experiment) -> list[list]:
     window = typed(int, experiment.scenario.get("telemetry_window", 0), "telemetry_window")
-    if window < 1:
+    if window < 0:
+        raise ValueError(f"scenario key 'telemetry_window' needs a count >= 0, got {window}")
+    if window == 0:
         return []
     refs = [item.reference for item in experiment.stream]
     if len(refs) < 2 * window:
@@ -496,6 +509,15 @@ def _telemetry(experiment: Experiment) -> list[list]:
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+@contextmanager
+def _reading():
+    """Inside the block, a ValueError or OSError is bad input: it leaves as ConfigError."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _scenario_arg(args) -> str:
@@ -510,8 +532,8 @@ def _scenario_arg(args) -> str:
 def _load_stream_file(path: str) -> tuple[dict, list[dict]]:
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"stream file {path} is empty")
+    if len(lines) < 2:
+        raise ValueError(f"stream file {path} has no items")
     header = json.loads(lines[0])
     if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
         raise ValueError(f"{path} is not a {STREAM_FORMAT} file")
@@ -538,10 +560,21 @@ def _check_out_paths(args, *names: str) -> None:
             raise ValueError(f"flag {flag!r} names {path!r}, not a file in an existing directory")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, before any work, an --out-dir that exists or would be made under a non-directory."""
+    existing = Path(path)
+    while not os.path.lexists(existing):
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(
+            f"flag '--out-dir' names {path!r}, but {str(existing)!r} is not a directory")
+
+
 def cmd_simulate(args) -> int:
-    _check_out_paths(args, "out", "vocab_out", "warmup_out")
-    scenario = load_scenario(_scenario_arg(args))
-    experiment = build_experiment(scenario, seed_override=args.seed)
+    with _reading():
+        _check_out_paths(args, "out", "vocab_out", "warmup_out")
+        scenario = load_scenario(_scenario_arg(args))
+        experiment = build_experiment(scenario, seed_override=args.seed)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dump_json_line({"format": STREAM_FORMAT, "scenario": experiment.scenario}))
@@ -570,16 +603,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _decode_strategies(args, strategies: Sequence[str]) -> tuple[Experiment, dict, dict]:
-    """The experiment, each strategy's (records, trie), and the summary payload over all.
-
-    Every input and engine value is read before the base model is trained or
-    connected, and the base model is closed however decoding ends.
-    """
+def _set_up(args) -> tuple[Experiment, dict, list, LogitProvider]:
+    """The experiment, engine settings, telemetry and base model of ``run`` and ``compare``,
+    every input and engine value read before the base model is trained or connected."""
     experiment = _experiment_from_args(args)
     settings = _engine_settings(experiment.scenario, args)
     telemetry = _telemetry(experiment)
-    provider = build_provider(experiment, args)
+    return experiment, settings, telemetry, build_provider(experiment, args)
+
+
+def _decode_strategies(set_up: tuple, strategies: Sequence[str]) -> tuple[Experiment, dict, dict]:
+    """The experiment, each strategy's (records, trie), and the summary payload over all;
+    the base model is closed however decoding ends."""
+    experiment, settings, telemetry, provider = set_up
     try:
         runs = {s: execute_strategy(experiment, provider, s, settings) for s in strategies}
     finally:
@@ -596,10 +632,12 @@ def _print_means(summaries: list[dict], width: int = 0) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.save_trie is not None and args.strategy != "odd":
-        raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
-    _check_out_paths(args, "out", "trace", "summary", "save_trie")
-    experiment, runs, summary = _decode_strategies(args, [args.strategy])
+    with _reading():
+        if args.save_trie is not None and args.strategy != "odd":
+            raise ValueError(f"--save-trie needs --strategy odd; {args.strategy} builds no trie")
+        _check_out_paths(args, "out", "trace", "summary", "save_trie")
+        set_up = _set_up(args)
+    experiment, runs, summary = _decode_strategies(set_up, [args.strategy])
     records, trie = runs[args.strategy]
     write_results(records, Path(args.out))
     if args.trace:
@@ -613,7 +651,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    experiment, runs, summary = _decode_strategies(args, STRATEGY_ORDER)
+    with _reading():
+        _check_out_dir(args.out_dir)
+        set_up = _set_up(args)
+    experiment, runs, summary = _decode_strategies(set_up, STRATEGY_ORDER)
     # created only now, so that a failed strategy leaves no directory behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -628,14 +669,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trie(args) -> int:
-    if args.vocab is not None and not args.dump:
-        raise ValueError("flag '--vocab' is not read without --dump")
-    trie = PrefixTrie.restore(Path(args.snapshot).read_bytes())
-    registry = VocabRegistry.load(args.vocab) if args.vocab is not None else None
-    if registry is not None:  # checked before any output: a short vocabulary prints nothing
-        top = max((record[0] for record in trie.walk()), default=-1)
-        if top >= len(registry):
-            raise ValueError(f"snapshot token {top} is outside the {len(registry)}-token --vocab")
+    with _reading():
+        if args.vocab is not None and not args.dump:
+            raise ValueError("flag '--vocab' is not read without --dump")
+        trie = PrefixTrie.restore(Path(args.snapshot).read_bytes())
+        registry = VocabRegistry.load(args.vocab) if args.vocab is not None else None
+        if registry is not None:  # checked before any output: a short vocabulary prints nothing
+            top = max((record[0] for record in trie.walk()), default=-1)
+            if top >= len(registry):
+                raise ValueError(
+                    f"snapshot token {top} is outside the {len(registry)}-token --vocab")
     stats = trie.stats()
     print(
         f"nodes={stats.node_count} inserted_positions={stats.total_insertions} "
@@ -649,13 +692,12 @@ def cmd_trie(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    registry = VocabRegistry.load(args.vocab_in) if args.vocab_in else VocabRegistry()
-    corpus = []
-    with open(args.corpus, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                corpus.append(tokenize(line, registry, grow=True))
-    model = train_ngram(corpus, args.order, args.smoothing_k, vocab_size=len(registry))
+    with _reading():
+        _check_out_paths(args, "out", "vocab_out")
+        registry = VocabRegistry.load(args.vocab_in) if args.vocab_in else VocabRegistry()
+        with open(args.corpus, encoding="utf-8") as fh:
+            corpus = [tokenize(line, registry, grow=True) for line in fh if line.strip()]
+        model = train_ngram(corpus, args.order, args.smoothing_k, vocab_size=len(registry))
     model.save(args.out)
     if args.vocab_out:
         registry.save(args.vocab_out)
@@ -747,12 +789,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
+    try:  # anything else is a fault of the program: it leaves with its traceback
         return args.func(args)
-    except (ValueError, KeyError, OSError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except TrieFusionError as exc:
+    except (TrieFusionError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,35 +1,20 @@
-"""Exception types shared across the package, and the typed-value check the
-input boundaries (scenario, stream and model files, flags) share."""
+"""The package's exception types, and the typed-value check the input
+boundaries (scenario, stream and model files, flags) share.
+
+A bad argument raises a plain ``ValueError``. The classes here are the ones a
+caller tells apart: input the CLI refuses, a snapshot that cannot be
+restored, and an external model that cannot be reached."""
 
 import math
 
 
 class TrieFusionError(Exception):
-    """Base class for every package-specific error."""
+    """Base class of the package's own errors; the CLI exits 3 on those that
+    are not a ConfigError."""
 
 
 class ConfigError(TrieFusionError):
-    """Invalid input or configuration; the CLI exits 2 on these, 3 on the rest."""
-
-
-class EmptyInput(ConfigError):
-    """Text to tokenize was empty after trimming."""
-
-
-class UnknownToken(ConfigError):
-    """Surface form is not registered and growth was disabled."""
-
-
-class UnknownId(ConfigError):
-    """Token id falls outside the registry."""
-
-
-class EmptySequence(TrieFusionError):
-    """Tried to insert an empty token sequence into the trie."""
-
-
-class TimestampRegression(TrieFusionError):
-    """Insertion timestamp is older than an already accepted one."""
+    """Invalid input or configuration; the CLI exits 2 on these."""
 
 
 class CorruptSnapshot(ConfigError):
@@ -40,40 +25,8 @@ class VersionMismatch(ConfigError):
     """Snapshot was written by an unsupported format version."""
 
 
-class EmptyCandidates(TrieFusionError):
-    """Scoring or normalization was asked to run on zero candidates."""
-
-
-class EmptyCorpus(ConfigError):
-    """Model training received no sequences."""
-
-
 class ProviderUnavailable(TrieFusionError):
     """External logit provider is unreachable or answered garbage."""
-
-
-class NonPositiveTemperature(TrieFusionError):
-    """Softmax temperature must be strictly positive."""
-
-
-class MissingSubstitution(ConfigError):
-    """A template placeholder has no value under the active concept."""
-
-
-class InvalidSchedule(ConfigError):
-    """Drift schedule parameters are inconsistent."""
-
-
-class EmptyWindow(TrieFusionError):
-    """Lexical drift telemetry needs two non-empty token windows."""
-
-
-class EmptyReference(TrieFusionError):
-    """Metric evaluation needs a non-empty reference string."""
-
-
-class EmptyList(TrieFusionError):
-    """Aggregation over an empty list of metric bundles."""
 
 
 _WANTED = {int: "an integer", float: "a finite number", dict: "an object", list: "a list",

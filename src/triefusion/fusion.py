@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveTemperature
 from .prior import DEFAULT_WEIGHTS, ScoringWeights, SparseDistribution
 from .summation import left_sum
 from .vocab import TokenId
@@ -80,7 +79,7 @@ class CalibrationResult:
 def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistribution:
     """Numerically stable softmax of z / temperature; argmax is preserved."""
     if not temperature > 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature!r}")
+        raise ValueError(f"temperature must be > 0, got {temperature!r}")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("logit vector is empty")

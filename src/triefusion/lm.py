@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MISSING, EmptyCorpus, ProviderUnavailable, typed, typed_items
+from .errors import MISSING, ProviderUnavailable, typed, typed_items
 from .vocab import TokenId
 
 PROTOCOL_VERSION = "logit-stream/1"
@@ -168,7 +168,7 @@ def train_ngram(
     """Count-based training; vocabulary defaults to the largest corpus id + 1."""
     sequences = [list(seq) for seq in corpus]
     if not sequences or all(not seq for seq in sequences):
-        raise EmptyCorpus("training corpus is empty")
+        raise ValueError("training corpus is empty")
     if vocab_size is None:
         vocab_size = max(max(seq) for seq in sequences if seq) + 1
     model = NGramModel(order, smoothing_k, vocab_size)

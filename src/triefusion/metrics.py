@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyList, EmptyReference
 from .summation import left_sum
 
 METRIC_FIELDS = ("exact_match", "edit_similarity", "bleu", "rouge_l", "chrf")
@@ -161,7 +160,7 @@ def evaluate_pair(reference: str, hypothesis: str) -> MetricBundle:
     """All metrics for one pair; the reference must be non-empty."""
     ref_norm = " ".join(reference.split())
     if not ref_norm:
-        raise EmptyReference("reference is empty after whitespace normalization")
+        raise ValueError("reference is empty after whitespace normalization")
     hyp_norm = " ".join(hypothesis.split())
     ref_tokens = ref_norm.split()
     hyp_tokens = hyp_norm.split()
@@ -179,7 +178,7 @@ def evaluate_pair(reference: str, hypothesis: str) -> MetricBundle:
 def aggregate(bundles: Sequence[MetricBundle]) -> MetricBundle:
     """Arithmetic mean per field."""
     if not bundles:
-        raise EmptyList("nothing to aggregate")
+        raise ValueError("nothing to aggregate")
     count = len(bundles)
     return MetricBundle(
         **{name: left_sum(getattr(b, name) for b in bundles) / count for name in METRIC_FIELDS}

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyCandidates
 from .summation import left_sum
 from .trie import PrefixTrie, SuffixColumns
 from .vocab import TokenId
@@ -135,7 +134,7 @@ def score_candidates(
     extremes over distinct values are those over all entries.
     """
     if not raw:
-        raise EmptyCandidates("no raw candidates to score")
+        raise ValueError("no raw candidates to score")
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
     columns = raw.columns
@@ -176,7 +175,7 @@ def top_preserving_distribution(scores: dict[TokenId, float]) -> SparseDistribut
     candidates proportionally to their scores. A single candidate takes all the mass.
     """
     if not scores:
-        raise EmptyCandidates("cannot normalize an empty candidate set")
+        raise ValueError("cannot normalize an empty candidate set")
     score_max = max(scores.values())
     winner = min(token for token, score in scores.items() if score == score_max)
     if len(scores) == 1:

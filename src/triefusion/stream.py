@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyWindow, InvalidSchedule, MissingSubstitution
 from .fusion import root_jensen_shannon
 from .vocab import TokenId, VocabRegistry
 
@@ -66,35 +65,35 @@ class DriftSchedule:
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
-            raise InvalidSchedule(f"kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
         if not self.concepts:
-            raise InvalidSchedule("schedule needs at least one concept")
+            raise ValueError("schedule needs at least one concept")
         ids = [c.concept_id for c in self.concepts]
         if len(set(ids)) != len(ids):
-            raise InvalidSchedule(f"duplicate concept ids: {ids}")
+            raise ValueError(f"duplicate concept ids: {ids}")
         if self.kind == "gradual":
             if len(self.concepts) != 2:
-                raise InvalidSchedule("gradual drift mixes exactly two concepts")
+                raise ValueError("gradual drift mixes exactly two concepts")
             if self.switch_points:
-                raise InvalidSchedule("gradual drift takes a ramp, not switch points")
+                raise ValueError("gradual drift takes a ramp, not switch points")
             if not self.mixing_ramp:
-                raise InvalidSchedule("gradual drift needs a mixing ramp")
+                raise ValueError("gradual drift needs a mixing ramp")
             if any(not 0.0 <= p <= 1.0 for p in self.mixing_ramp):
-                raise InvalidSchedule("ramp probabilities must lie in [0, 1]")
+                raise ValueError("ramp probabilities must lie in [0, 1]")
             if any(b < a for a, b in zip(self.mixing_ramp, self.mixing_ramp[1:])):
-                raise InvalidSchedule("ramp must be monotone non-decreasing")
+                raise ValueError("ramp must be monotone non-decreasing")
         else:
             if self.mixing_ramp:
-                raise InvalidSchedule(f"{self.kind} drift does not take a ramp")
+                raise ValueError(f"{self.kind} drift does not take a ramp")
             if len(self.switch_points) != len(self.concepts) - 1:
-                raise InvalidSchedule(
+                raise ValueError(
                     f"{len(self.concepts)} concepts need exactly "
                     f"{len(self.concepts) - 1} switch points"
                 )
             if any(b <= a for a, b in zip(self.switch_points, self.switch_points[1:])):
-                raise InvalidSchedule("switch points must be strictly increasing")
+                raise ValueError("switch points must be strictly increasing")
             if any(p < 0 for p in self.switch_points):
-                raise InvalidSchedule("switch points must be non-negative")
+                raise ValueError("switch points must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,12 @@ def _instantiate_tokens(
             continue
         value = concept.substitutions.get(part)
         if value is None:
-            raise MissingSubstitution(
+            raise ValueError(
                 f"placeholder {{{part}}} has no value under concept {concept.concept_id!r}"
             )
         value_tokens = value.split()
         if not value_tokens:
-            raise MissingSubstitution(
+            raise ValueError(
                 f"placeholder {{{part}}} maps to an empty value under {concept.concept_id!r}"
             )
         start = len(tokens)
@@ -200,7 +199,7 @@ def lexical_drift_telemetry(window_a: Iterable, window_b: Iterable) -> float:
     counts_a = Counter(window_a)
     counts_b = Counter(window_b)
     if not counts_a or not counts_b:
-        raise EmptyWindow("both windows must contain at least one token")
+        raise ValueError("both windows must contain at least one token")
     union = set(counts_a) | set(counts_b)
     return root_jensen_shannon([counts_a[t] for t in union], [counts_b[t] for t in union])
 

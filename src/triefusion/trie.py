@@ -69,7 +69,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CorruptSnapshot, EmptySequence, TimestampRegression, VersionMismatch
+from .errors import CorruptSnapshot, VersionMismatch
 from .vocab import TokenId
 
 SNAPSHOT_MAGIC = b"PTR1"
@@ -148,11 +148,11 @@ class PrefixTrie:
         """
         tokens = list(tokens)
         if not tokens:
-            raise EmptySequence("cannot insert an empty sequence")
+            raise ValueError("cannot insert an empty sequence")
         if not math.isfinite(timestamp) or timestamp <= 0:
             raise ValueError(f"timestamp must be finite and > 0, got {timestamp!r}")
         if timestamp < self._last_timestamp:
-            raise TimestampRegression(
+            raise ValueError(
                 f"timestamp {timestamp} predates last accepted {self._last_timestamp}"
             )
         n_max = self.config.n_max

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import EmptyInput, UnknownId, UnknownToken
-
 TokenId = int
 
 
@@ -46,11 +44,11 @@ class VocabRegistry:
         try:
             return self._token_to_id[token]
         except KeyError:
-            raise UnknownToken(f"unregistered token: {token!r}") from None
+            raise ValueError(f"unregistered token: {token!r}") from None
 
     def token_of(self, token_id: TokenId) -> str:
         if not 0 <= token_id < len(self._id_to_token):
-            raise UnknownId(f"id {token_id} outside registry of size {len(self)}")
+            raise ValueError(f"id {token_id} outside registry of size {len(self)}")
         return self._id_to_token[token_id]
 
     def tokens(self) -> tuple[str, ...]:
@@ -72,7 +70,7 @@ def tokenize(text: str, registry: VocabRegistry, grow: bool = False) -> list[Tok
     """Map whitespace-delimited ``text`` to ids, registering new forms if ``grow``."""
     tokens = text.split()
     if not tokens:
-        raise EmptyInput("cannot tokenize empty or whitespace-only text")
+        raise ValueError("cannot tokenize empty or whitespace-only text")
     if grow:
         return [registry.add(token) for token in tokens]
     return [registry.id_of(token) for token in tokens]

@@ -18,7 +18,6 @@ import numpy as np
 
 import prior_ref
 from triefusion import fusion
-from triefusion.errors import NonPositiveTemperature
 from triefusion.fusion import (
     BRACKET_HI,
     BRACKET_LO,
@@ -45,7 +44,7 @@ class CalibrationResult:
 def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistribution:
     """Numerically stable softmax of z / temperature; argmax is preserved."""
     if not temperature > 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature!r}")
+        raise ValueError(f"temperature must be > 0, got {temperature!r}")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("logit vector is empty")

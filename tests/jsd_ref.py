@@ -13,7 +13,6 @@ from typing import Iterable
 
 import numpy as np
 
-from triefusion.errors import EmptyWindow
 from triefusion.fusion import DEFAULT_TOP_K, top_k_tokens
 from triefusion.prior import SparseDistribution
 
@@ -43,7 +42,7 @@ def lexical_drift_telemetry(window_a: Iterable, window_b: Iterable) -> float:
     counts_a = Counter(window_a)
     counts_b = Counter(window_b)
     if not counts_a or not counts_b:
-        raise EmptyWindow("both windows must contain at least one token")
+        raise ValueError("both windows must contain at least one token")
     total_a = sum(counts_a.values())
     total_b = sum(counts_b.values())
     divergence = 0.0

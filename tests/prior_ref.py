@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from trie_ref import FeatureTriple, suffix_children
-from triefusion.errors import EmptyCandidates
 from triefusion.prior import DEFAULT_WEIGHTS, ScoringWeights, SparseDistribution
 from triefusion.trie import PrefixTrie
 from triefusion.vocab import TokenId
@@ -78,7 +77,7 @@ def score_candidates(
     still moving, so the maxima are taken only after everything is gathered.
     """
     if not raw:
-        raise EmptyCandidates("no raw candidates to score")
+        raise ValueError("no raw candidates to score")
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
 
@@ -113,7 +112,7 @@ def top_preserving_distribution(candidates: CandidateSet) -> SparseDistribution:
     proportionally to their scores. A single candidate takes all the mass.
     """
     if not candidates:
-        raise EmptyCandidates("cannot normalize an empty candidate set")
+        raise ValueError("cannot normalize an empty candidate set")
     entries = candidates.entries
     score_max = max(entry.score for entry in entries.values())
     winner = min(token for token, entry in entries.items() if entry.score == score_max)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from triefusion import cli
+from triefusion import cli, harness
 from triefusion.cli import (
     SETTINGS,
     _engine_settings,
@@ -98,6 +98,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def test_value_error_mid_decode_is_not_bad_input(self, tmp_path, small_scenario,
+                                                      monkeypatch):
+        # past the inputs, a ValueError is a fault of the program: it keeps its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("broken prior")
+
+        monkeypatch.setattr(harness, "trie_prior", broken)
+        with pytest.raises(ValueError, match="broken prior"):
+            main(["run", "--scenario", str(small_scenario), "--strategy", "odd",
+                  "--out", str(tmp_path / "r.jsonl")])
+
+    def test_failed_output_write_is_runtime_error(self, tmp_path, small_scenario, capsys,
+                                                  monkeypatch):
+        def full(records, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_results", full)
+        assert main(["run", "--scenario", str(small_scenario), "--strategy", "greedy",
+                     "--out", str(tmp_path / "r.jsonl")]) == 3
+        assert "runtime error: [Errno 28] No space left on device" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -468,6 +489,17 @@ class TestCompare:
             assert "scenario key 'telemetry_window'" in capsys.readouterr().err
         assert calls == []
 
+    def test_negative_telemetry_window_rejected(self, tmp_path, small_scenario, capsys):
+        scenario = json.loads(small_scenario.read_text())
+        scenario["telemetry_window"] = -3
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "scenario key 'telemetry_window' needs a count >= 0, got -3" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "run"])
     def test_negative_warmup_count_rejected(self, tmp_path, small_scenario, capsys, command):
         scenario = json.loads(small_scenario.read_text())
@@ -796,6 +828,17 @@ class TestOutputPaths:
         assert f"flag {flag!r} names" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub/dir"])
+    def test_out_dir_refused_before_any_decode(self, tmp_path, small_scenario, capsys,
+                                               monkeypatch, out_dir):
+        (tmp_path / "file").write_text("not a directory")
+        calls = []
+        monkeypatch.setattr(cli, "execute_strategy", lambda *args: calls.append(args[2]))
+        assert main(["compare", "--scenario", str(small_scenario),
+                     "--out-dir", str(tmp_path / out_dir)]) == 2
+        assert f"but {str(tmp_path / 'file')!r} is not a directory" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestTriesOnlyWhereRead:
     @pytest.mark.parametrize("strategy", ["greedy", "temp-scaled"])
@@ -856,6 +899,11 @@ class TestStreamFileValidation:
              "stream item 11 'spans[0][1]'"),
             (12, lambda row: row.update(spans=None), "stream item 11 'spans'"),
             (12, lambda row: row.update(reference=5), "stream item 11 'reference'"),
+            # the drift summary splits items on index, so indices rise from 0
+            (1, lambda row: row.update(index=-5), "stream item 0 'index'"),
+            (12, lambda row: row.update(index=10), "stream item 11 'index'"),
+            # the warm-up goes into the trie at half a timestamp step, before row 0
+            (1, lambda row: row.update(timestamp=1.0), "not before 30.0"),
         ] + [
             # an absent key names the item, not just the key
             (4, lambda row, key=key: row.pop(key), f"stream item 3 is missing {key!r}")
@@ -864,7 +912,8 @@ class TestStreamFileValidation:
         ids=["timestamp-regression", "nan-timestamp", "zero-timestamp", "span-past-end",
              "negative-span-start", "empty-span", "prompt-past-span", "negative-prompt",
              "bool-prompt-len", "fractional-prompt-len", "fractional-index", "string-timestamp",
-             "string-span-start", "null-spans", "number-reference"]
+             "string-span-start", "null-spans", "number-reference", "negative-index",
+             "repeated-index", "timestamp-before-warmup"]
         + [f"missing-{key}" for key in _ROW_KEYS],
     )
     def test_bad_row_rejected_before_any_output(self, tmp_path, small_scenario, capsys,
@@ -878,6 +927,17 @@ class TestStreamFileValidation:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_header_only_stream_rejected_naming_the_file(self, tmp_path, small_scenario,
+                                                         capsys):
+        stream = tmp_path / "stream.jsonl"
+        main(["simulate", "--scenario", str(small_scenario), "--out", str(stream)])
+        stream.write_text(stream.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--stream", str(stream), "--out-dir", str(out_dir)]) == 2
+        assert f"stream file {stream} has no items" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 import jsd_ref
 
 from triefusion import fusion
-from triefusion.errors import NonPositiveTemperature
 from triefusion.fusion import (
     Decoder,
     DecoderConfig,
@@ -48,9 +47,9 @@ class TestSoftmax:
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-3)
 
     def test_temperature_must_be_positive(self):
-        with pytest.raises(NonPositiveTemperature):
+        with pytest.raises(ValueError, match="temperature must be > 0, got 0.0"):
             softmax_with_temperature(np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(NonPositiveTemperature):
+        with pytest.raises(ValueError, match="temperature must be > 0, got -2.0"):
             softmax_with_temperature(np.array([1.0, 0.0]), -2.0)
 
     def test_sums_to_one(self):

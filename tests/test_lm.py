@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from triefusion.errors import EmptyCorpus, ProviderUnavailable
+from triefusion.errors import ProviderUnavailable
 from triefusion.lm import (
     ExternalLogitProvider,
     LogitProvider,
@@ -116,9 +116,9 @@ class TestNGram:
             np.testing.assert_allclose(model.probabilities(prefix), expected, atol=1e-12)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="training corpus is empty"):
             train_ngram([], order=2, smoothing_k=0.5)
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="training corpus is empty"):
             train_ngram([[]], order=2, smoothing_k=0.5)
 
     def test_parameter_validation(self):

@@ -10,7 +10,6 @@ from metric_refs import (
     ref_levenshtein,
     ref_rouge_l,
 )
-from triefusion.errors import EmptyList, EmptyReference
 from triefusion.metrics import (
     METRIC_FIELDS,
     MetricBundle,
@@ -60,7 +59,7 @@ class TestExamples:
         assert evaluate_pair("the cat sat", "the cat").rouge_l == pytest.approx(0.8, abs=1e-9)
 
     def test_empty_reference(self):
-        with pytest.raises(EmptyReference):
+        with pytest.raises(ValueError, match="reference is empty after whitespace normalization"):
             evaluate_pair("   ", "something")
 
     def test_empty_hypothesis(self):
@@ -119,7 +118,7 @@ class TestAggregate:
         assert aggregate(bundles).exact_match == pytest.approx(0.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(ValueError, match="nothing to aggregate"):
             aggregate([])
 
     def test_bootstrap_ci_deterministic(self):

@@ -8,7 +8,6 @@ import prior_ref
 from bruteforce import NgramScan, bf_scores, bf_top_preserving
 from conftest import T_NEW
 from trie_ref import FeatureTriple, suffix_children
-from triefusion.errors import EmptyCandidates
 from triefusion.prior import (
     RawCandidates,
     ScoringWeights,
@@ -176,7 +175,7 @@ class TestScore:
         assert list(scored) == [7, 8]  # first-seen token order
 
     def test_empty_raw_rejected(self):
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(ValueError, match="no raw candidates to score"):
             score_candidates(_raw(), 3, 10.0, THIRD)
 
     def test_length_clamped_at_one(self):
@@ -224,7 +223,7 @@ class TestTopPreserving:
         assert dist.probs[2] == pytest.approx(0.8)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(ValueError, match="cannot normalize an empty candidate set"):
             top_preserving_distribution({})
 
     def test_max_prob_is_top_score(self):

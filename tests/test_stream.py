@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import jsd_ref
 
-from triefusion.errors import EmptyWindow, InvalidSchedule, MissingSubstitution
 from triefusion.stream import (
     ConceptSpec,
     DriftSchedule,
@@ -31,33 +30,33 @@ def abrupt(switch=50, seed=7):
 
 class TestScheduleValidation:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="kind must be one of"):
             DriftSchedule("sudden", (OLD, NEW), switch_points=(5,))
 
     def test_switch_point_count(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="2 concepts need exactly 1 switch points"):
             DriftSchedule("abrupt", (OLD, NEW), switch_points=())
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="3 concepts need exactly 2 switch points"):
             DriftSchedule("incremental", (OLD, MID, NEW), switch_points=(10,))
 
     def test_switch_points_increasing(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="switch points must be strictly increasing"):
             DriftSchedule("incremental", (OLD, MID, NEW), switch_points=(30, 30))
 
     def test_gradual_needs_two_concepts_and_ramp(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="gradual drift mixes exactly two concepts"):
             DriftSchedule("gradual", (OLD, MID, NEW), mixing_ramp=(0.5,))
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="gradual drift needs a mixing ramp"):
             DriftSchedule("gradual", (OLD, NEW))
 
     def test_ramp_monotone_and_bounded(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="ramp must be monotone non-decreasing"):
             DriftSchedule("gradual", (OLD, NEW), mixing_ramp=(0.4, 0.2))
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match=r"ramp probabilities must lie in \[0, 1\]"):
             DriftSchedule("gradual", (OLD, NEW), mixing_ramp=(0.4, 1.2))
 
     def test_duplicate_concept_ids(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(ValueError, match="duplicate concept ids"):
             DriftSchedule("abrupt", (OLD, OLD), switch_points=(5,))
 
 
@@ -67,7 +66,7 @@ class TestTemplates:
         assert text == "please activate the copper-4g package with telcoone now"
 
     def test_missing_substitution(self):
-        with pytest.raises(MissingSubstitution):
+        with pytest.raises(ValueError, match=r"placeholder \{MISSING\} has no value"):
             render_template("use {MISSING} here", OLD)
 
     def test_multi_token_value_spans(self):
@@ -143,7 +142,7 @@ class TestTelemetry:
         assert value == pytest.approx(0.23797691540385263, abs=1e-12)
 
     def test_empty_window(self):
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(ValueError, match="both windows must contain at least one token"):
             lexical_drift_telemetry([], ["a"])
 
     @given(st.data())

@@ -14,7 +14,7 @@ import math
 import threading
 from typing import Iterator, NamedTuple, Sequence
 
-from triefusion.errors import CorruptSnapshot, EmptySequence, TimestampRegression, VersionMismatch
+from triefusion.errors import CorruptSnapshot, VersionMismatch
 from triefusion.trie import (
     _HEADER,
     _NODE,
@@ -74,11 +74,11 @@ class PrefixTrie:
         """
         tokens = list(tokens)
         if not tokens:
-            raise EmptySequence("cannot insert an empty sequence")
+            raise ValueError("cannot insert an empty sequence")
         if not math.isfinite(timestamp) or timestamp <= 0:
             raise ValueError(f"timestamp must be finite and > 0, got {timestamp!r}")
         if timestamp < self._last_timestamp:
-            raise TimestampRegression(
+            raise ValueError(
                 f"timestamp {timestamp} predates last accepted {self._last_timestamp}"
             )
         n_max = self.config.n_max
