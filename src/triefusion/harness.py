@@ -99,20 +99,28 @@ def run_online(
     """Strict test-then-train pass over the stream, in order; a None trie stays unfilled.
 
     Each item is decoded under ``decoder``'s strategy and generation cap.
+    A strategy that reads no trie decodes each distinct prompt once per call.
     Each distinct (reference, hypothesis) pair is scored once per call.
     """
     records: list[ItemRecord] = []
     # bundles are frozen, so records of one pair share one
     scored: dict[tuple[str, str], MetricBundle] = {}
+    # a decode that reads no trie depends on its prompt alone, so records of one
+    # prompt share its tuples; odd reads a trie that changes after every item
+    decoded: dict[tuple[TokenId, ...], tuple] | None = None if decoder.wants_prior else {}
     for item in stream:
-        ids, steps, priors = decode_sequence(
-            item.prompt,
-            trie,
-            provider,
-            decoder,
-            now=item.timestamp,
-            eos_id=eos_id,
-        )
+        if decoded is None:
+            ids, steps, priors = decode_sequence(
+                item.prompt, trie, provider, decoder, now=item.timestamp, eos_id=eos_id
+            )
+        else:
+            key = tuple(item.prompt)
+            hit = decoded.get(key)
+            if hit is None:
+                hit = decoded[key] = tuple(map(tuple, decode_sequence(
+                    key, trie, provider, decoder, now=item.timestamp, eos_id=eos_id
+                )))
+            ids, steps, priors = hit
         shown = ids[:-1] if ids[-1] == eos_id else ids
         hypothesis_text = detokenize(shown, registry)
         pair = (item.reference_text, hypothesis_text)

@@ -295,7 +295,8 @@ class TestRun:
 
 
 class TestExternalProviderGlue:
-    def test_run_against_tcp_served_model(self, tmp_path, small_scenario):
+    @pytest.mark.parametrize("strategy", ["odd", "greedy"])
+    def test_run_against_tcp_served_model(self, tmp_path, small_scenario, strategy):
         """The external path reproduces the builtin path token for token."""
         scenario = json.loads(small_scenario.read_text())
         experiment = build_experiment(scenario)
@@ -318,14 +319,14 @@ class TestExternalProviderGlue:
         out_ext = tmp_path / "external.jsonl"
         out_builtin = tmp_path / "builtin.jsonl"
         code = main([
-            "run", "--scenario", str(small_scenario), "--strategy", "odd",
+            "run", "--scenario", str(small_scenario), "--strategy", strategy,
             "--lm", "external", "--endpoint", f"127.0.0.1:{port}",
             "--out", str(out_ext),
         ])
         thread.join(timeout=10)
         server.close()
         assert code == 0
-        assert main(["run", "--scenario", str(small_scenario), "--strategy", "odd",
+        assert main(["run", "--scenario", str(small_scenario), "--strategy", strategy,
                      "--out", str(out_builtin)]) == 0
         assert out_ext.read_bytes() == out_builtin.read_bytes()
 

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from triefusion import harness
 from triefusion.fusion import Decoder, DecoderConfig
@@ -66,6 +67,37 @@ def test_each_distinct_pair_scored_once_per_run(monkeypatch):
     # the cache lives for one call: a second pass scores every pair again
     run_online(stream, None, provider, decoder, registry, eos_id=eos)
     assert calls == Counter({pair: 2 for pair in set(pairs)})
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "temp-scaled"])
+def test_trie_free_decoders_decode_each_distinct_prompt_once(monkeypatch, strategy):
+    registry, eos, stream, warmup, provider = _world()
+    calls = Counter()
+
+    def counting(prompt, *args, **kwargs):
+        calls[tuple(prompt)] += 1
+        return decode_sequence(prompt, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "decode_sequence", counting)
+    decoder = Decoder(DecoderConfig(strategy=strategy))
+    records = run_online(stream, None, provider, decoder, registry, eos_id=eos)
+    prompts = {tuple(item.prompt) for item in stream}
+    assert len(prompts) < len(stream)
+    assert calls == Counter(prompts)
+    for item, record in zip(stream, records):
+        alone = run_online([item], None, provider, decoder, registry, eos_id=eos)
+        assert record == alone[0]
+    # the cache lives for one call: a second pass decodes every prompt again
+    calls.clear()
+    run_online(stream, None, provider, decoder, registry, eos_id=eos)
+    assert calls == Counter(prompts)
+    # odd reads a trie that changes after every item, so it decodes every item
+    calls.clear()
+    trie = PrefixTrie()
+    warm_start(trie, warmup, 1.0)
+    odd = Decoder(DecoderConfig(strategy="odd"))
+    run_online(stream, trie, provider, odd, registry, eos_id=eos)
+    assert sum(calls.values()) == len(stream)
 
 
 def test_trie_learns_reference_after_insertion():
