@@ -8,7 +8,10 @@ Per decoding step the engine:
    base peak probability matches the trie prior's peak; the bisection is
    replayed from a Newton-seeded bracket, which gives the same floats with a
    fraction of its full-vocabulary exp passes, and the accepted pass's exp
-   row becomes the tempered distribution,
+   row over its sum is the tempered distribution; a target of 1 clamps to
+   the temperature floor, where every entry more than 7.5e-7 under the peak
+   underflows to 0, so a row with no other entry that close gets 1/ties on
+   the peak's ties and 0 elsewhere without an exp pass,
 3. measures expert disagreement as the square root of the Jensen-Shannon
    divergence between the two distributions renormalized over the union of
    their top-k tokens,
@@ -22,12 +25,16 @@ Steps with no trie candidates bypass all of this and fall back to greedy
 selection from the raw logits, resetting the agreement streak.
 
 Everything here is pure; the agreement streak is an int that each step
-takes and returns, one per generated sequence.
+takes and returns, one per generated sequence. Full-vocabulary temporaries
+live in three scratch rows per thread (24 bytes per vocabulary entry, kept
+for the last width used); only ``softmax_with_temperature``'s return and
+``CalibrationResult.probs`` are fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,6 +56,9 @@ BRACKET_HI = 1e3
 TEMPERATURE_FLOOR = 1e-9
 TEMPERATURE_CEIL = 1e9
 STRATEGIES = ("odd", "greedy", "temp-scaled")
+# (z - max) / TEMPERATURE_FLOOR is below -745, where exp underflows to 0, for
+# every entry further than this under the peak
+_FLOOR_REACH = 7.5e-7
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,36 @@ class CalibrationResult:
     probs: DenseDistribution = field(compare=False, repr=False)
 
 
+class _Scratch(threading.local):
+    """This thread's three full-vocabulary rows, replaced when the width changes.
+
+    Row 0 holds the T = 1 softmax behind ``c_lm``, then calibration's shifted
+    row; row 1 holds ``_PeakGaps``' exp row; row 2 holds
+    ``entropy_confidence``'s log row and ``top_k_tokens``' working copy. No
+    row leaves a public function, and no function writes a row its caller
+    still reads.
+    """
+
+    rows = np.empty((3, 0))
+
+    def __call__(self, size: int) -> np.ndarray:
+        if self.rows.shape[1] != size:
+            self.rows = np.empty((3, size))
+        return self.rows
+
+
+_scratch = _Scratch()
+
+
+def _softmax(z: LogitVector, temperature: float, out: np.ndarray) -> DenseDistribution:
+    np.subtract(z, z.max(), out=out)
+    if temperature != 1.0:
+        out /= temperature
+    np.exp(out, out=out)
+    out /= out.sum()
+    return out
+
+
 def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistribution:
     """Numerically stable softmax of z / temperature; argmax is preserved."""
     if not temperature > 0:
@@ -83,12 +123,7 @@ def softmax_with_temperature(z: LogitVector, temperature: float) -> DenseDistrib
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("logit vector is empty")
-    exps = z - z.max()
-    if temperature != 1.0:
-        exps /= temperature
-    np.exp(exps, out=exps)
-    exps /= exps.sum()
-    return exps
+    return _softmax(z, temperature, np.empty(z.shape))
 
 
 def entropy_confidence(q: DenseDistribution) -> float:
@@ -96,9 +131,8 @@ def entropy_confidence(q: DenseDistribution) -> float:
     q = np.asarray(q, dtype=float)
     if q.size < 2:
         raise ValueError("confidence needs a vocabulary of at least 2")
-    mask = q > 0
-    positive = q if mask.all() else q[mask]
-    terms = np.log(positive)
+    positive = q if q.min() > 0 else q[q > 0]
+    terms = np.log(positive, out=_scratch(q.size)[2, :positive.size])
     terms *= positive
     entropy = -float(terms.sum())
     confidence = 1.0 - entropy / math.log(q.size)
@@ -124,13 +158,13 @@ class _PeakGaps:
     comparison it makes, the exact gap in between.
     """
 
-    def __init__(self, shifted: np.ndarray, target: float, tol: float):
+    def __init__(self, shifted: np.ndarray, target: float, tol: float, row: np.ndarray):
         self.shifted = shifted
         self.target = target
         self.margin = max(tol, 0.0) + _GAP_MARGIN
         self.cold = 0.0  # the largest T whose exact gap is above the margin
         self.hot = math.inf  # the smallest T whose exact gap is below -margin
-        self.row = np.empty_like(shifted)  # the exp row of the last exact evaluation
+        self.row = row  # the exp row of the last exact evaluation
         self.total = 1.0  # and its sum
 
     def exact(self, temperature: float) -> float:
@@ -152,9 +186,8 @@ class _PeakGaps:
         return self.exact(temperature)
 
     def probs(self) -> DenseDistribution:
-        """The last exact row over its sum: softmax_with_temperature's floats at that T."""
-        self.row /= self.total
-        return self.row
+        """The last exact row over its sum, fresh: softmax_with_temperature's floats at that T."""
+        return np.divide(self.row, self.total)
 
     def seed(self) -> None:
         """Pin the root between exact gaps just past the margin on either side.
@@ -236,14 +269,15 @@ def calibrate_temperature(
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max!r}")
 
-    if np.ptp(z) == 0:
-        return _clamped(z, 1.0)
+    if np.ptp(z) == 0:  # every shifted entry is 0, every exp 1, their sum |V|
+        return CalibrationResult(1.0, True, 0, True, np.full(z.shape, 1.0 / z.size))
     if target_max >= 1.0:
         return _clamped(z, TEMPERATURE_FLOOR)
     if target_max <= 1.0 / z.size:
         return _clamped(z, TEMPERATURE_CEIL)
 
-    gap = _PeakGaps(z - z.max(), target_max, tol)
+    rows = _scratch(z.size)
+    gap = _PeakGaps(np.subtract(z, z.max(), out=rows[0]), target_max, tol, rows[1])
     gap.seed()
     lo, hi = BRACKET_LO, BRACKET_HI
     while gap(lo) < 0:
@@ -270,6 +304,17 @@ def calibrate_temperature(
 
 
 def _clamped(z: LogitVector, temperature: float) -> CalibrationResult:
+    """A clamp's result; at the floor, without the exp pass where only the peak's ties survive it."""
+    if temperature == TEMPERATURE_FLOOR:
+        top = z.max()
+        peaks = z == top
+        ties = np.count_nonzero(peaks)
+        if math.isfinite(top) and np.count_nonzero(z >= top - _FLOOR_REACH) == ties:
+            # each tie's exp is exp(0) = 1 and every other entry's underflows
+            # to 0, so the sum is ties and the row is 1/ties on the ties, else 0
+            probs = np.zeros(z.shape)
+            probs[peaks] = 1.0 / ties
+            return CalibrationResult(temperature, True, 0, True, probs)
     return CalibrationResult(temperature, True, 0, True, softmax_with_temperature(z, temperature))
 
 
@@ -279,14 +324,16 @@ def top_k_tokens(q: DenseDistribution, k: int) -> list[TokenId]:
     k argmax passes over a copy: argmax returns the first maximum, and each
     pick is masked with -inf before the next pass.
     """
-    q = np.array(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
+    work = _scratch(q.size)[2]
+    work[:] = q
     chosen = []
-    for _ in range(min(k, q.size)):
-        token = int(q.argmax())
+    for _ in range(min(k, work.size)):
+        token = int(work.argmax())
         chosen.append(token)
-        q[token] = -np.inf
+        work[token] = -np.inf
     return sorted(chosen)
 
 
@@ -348,7 +395,7 @@ def _checked_logits(z: LogitVector) -> LogitVector:
     z = np.asarray(z, dtype=float)
     if z.size < 2:
         raise ValueError("fusion needs a vocabulary of at least 2")
-    if not np.all(np.isfinite(z)):
+    if not (math.isfinite(z.max()) and math.isfinite(z.min())):  # NaN propagates to both
         raise ValueError("logits must be finite")
     return z
 
@@ -362,7 +409,7 @@ def bypass_step(
     temperature cannot change the argmax, only the reported confidence.
     """
     z = _checked_logits(z)
-    c_lm = entropy_confidence(softmax_with_temperature(z, temperature))
+    c_lm = entropy_confidence(_softmax(z, temperature, _scratch(z.size)[0]))
     diagnostics = StepDiagnostics(
         c_lm=c_lm,
         c_trie=0.0,
@@ -394,7 +441,7 @@ def fuse_step(
         if not 0 <= token < z.size:
             raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
 
-    c_lm = entropy_confidence(softmax_with_temperature(z, 1.0))
+    c_lm = entropy_confidence(_softmax(z, 1.0, _scratch(z.size)[0]))
     # weight/probability validation tolerates 1e-9 of slack; keep the peak a
     # legal calibration target
     score_max = min(1.0, prior.max_prob())

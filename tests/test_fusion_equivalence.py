@@ -1,13 +1,19 @@
 """The fusion primitives against verbatim copies of their plain versions (``fusion_ref``).
 
 Calibration replays the bisection from a Newton-seeded bracket, ``q_lm`` is
-the accepted evaluation's own exp row, and top-k takes k argmax passes; the
+the accepted evaluation's own exp row, the floor clamp skips its exp pass
+where only the peak's ties survive it, and top-k takes k argmax passes; the
 prior's top tokens come from a keyed stable sort and ``fuse_step`` checks
 only the ends of the prior's ascending support. Every one of them must give
-the plain versions' floats, flags and token ids exactly.
+the plain versions' floats, flags and token ids exactly. Their temporaries
+live in per-thread scratch rows, which must never show in a result, an
+input, or another thread.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ import fusion_ref as ref
 import prior_ref
 
 from triefusion.fusion import (
+    TEMPERATURE_FLOOR,
     calibrate_temperature,
     entropy_confidence,
     fuse_step,
@@ -237,3 +244,151 @@ def test_prior_token_outside_vocabulary_rejected(support):
     for step in (fuse_step, ref.fuse_step):
         with pytest.raises(ValueError, match="outside vocabulary of 29"):
             step(z, prior)
+
+
+# wide-vocab's padded vocabulary
+WIDE = 32768
+
+
+def _wide_vocab_row(rng, size, kind):
+    """A logit row of the kinds a padded n-gram and its calibration meet."""
+    if kind == "constant":  # an unseen context: every token gets the smoothing mass
+        return np.full(size, -math.log(size))
+    # a seen context: the smoothing tail, with a few observed tokens above it
+    z = np.full(size, -math.log(size) - 3.0)
+    observed = rng.choice(size, size=min(size, 5), replace=False)
+    z[observed] += rng.uniform(1.0, 9.0, size=observed.size)
+    top = int(z.argmax())
+    if kind == "near":  # a runner-up within the floor clamp's reach of the peak
+        # not 7.45e-7: its exp(-745) = 5e-324 makes root_jensen_shannon divide by zero
+        z[(top + 1) % size] = z[top] - rng.choice([1e-9, 3e-7, 7.3e-7, 7.44e-7])
+    elif kind == "tied":
+        z[observed[: max(2, observed.size - 1)]] = z[top]
+    elif kind == "spread":  # exp at T = 1 underflows for most of the row
+        z[observed[0]] += 900.0
+    return z
+
+
+def _wide_vocab_prior(rng, size, kind):
+    if kind == "one-hot":  # a target of 1: the floor clamp
+        return SparseDistribution({int(rng.integers(size)): 1.0})
+    support = rng.choice(size, size=min(size, int(rng.integers(2, 6))), replace=False)
+    return _sparse_prior({int(t): int(w) + 1 for t, w in zip(support, rng.integers(0, 4, support.size))})
+
+
+_ROW_KINDS = ("ngram", "constant", "near", "tied", "spread")
+
+
+def _wide_vocab_steps(rng, size, repeats=1):
+    for row_kind in _ROW_KINDS * repeats:
+        for prior_kind in ("one-hot", "mixed"):
+            yield _wide_vocab_row(rng, size, row_kind), _wide_vocab_prior(rng, size, prior_kind)
+
+
+def test_fuse_step_matches_the_plain_loops_at_wide_vocab():
+    rng = np.random.default_rng(20261020)
+    floor_rows = 0
+    # widths alternate, so a scratch row kept at one width is never read at another
+    for size in (61, WIDE, 2, WIDE, 61, WIDE):
+        for run_length, (z, prior) in enumerate(_wide_vocab_steps(rng, size, repeats=4)):
+            assert fuse_step(z.copy(), prior, run_length % 4) == ref.fuse_step(
+                z.copy(), prior, run_length % 4)
+            result = _same_calibration(z, min(1.0, prior.max_prob()))
+            floor_rows += result.temperature == TEMPERATURE_FLOOR
+    assert floor_rows >= 6 * 4 * 4  # every non-constant kind clamps at every width
+
+
+def test_floor_clamp_keeps_a_runner_up_that_survives_the_exp():
+    z = np.zeros(WIDE)
+    z[7] = 1.0
+    for gap, survives in ((7.45e-7, True), (3e-7, True), (7.6e-7, False), (1.0, False)):
+        z[9] = 1.0 - gap
+        probs = calibrate_temperature(z, 1.0).probs
+        assert np.array_equal(probs, ref.softmax_with_temperature(z, TEMPERATURE_FLOOR))
+        assert (probs[9] > 0.0) == survives
+    for bad in (math.inf, -math.inf, math.nan):  # calibration itself takes any floats
+        z[9] = bad
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(calibrate_temperature(z, 1.0).probs,
+                                  ref.softmax_with_temperature(z, TEMPERATURE_FLOOR), equal_nan=True)
+
+
+def _wide_step_input(path):
+    rng = np.random.default_rng(5)
+    if path == "constant":
+        return _wide_vocab_row(rng, WIDE, "constant"), _wide_vocab_prior(rng, WIDE, "mixed")
+    z = _wide_vocab_row(rng, WIDE, "ngram")
+    return z, _wide_vocab_prior(rng, WIDE, "one-hot" if path == "floor" else "mixed")
+
+
+_PATHS = ("bisect", "floor", "constant")
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_wide_steps_leave_their_input_alone(path):
+    z, prior = _wide_step_input(path)
+    before = z.copy()
+    fuse_step(z, prior, 2)
+    probs = calibrate_temperature(z, min(1.0, prior.max_prob())).probs
+    kept = probs.copy()
+    entropy_confidence(probs)
+    top_k_tokens(probs, 5)
+    assert np.array_equal(z, before)
+    assert np.array_equal(probs, kept)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_results_own_their_memory(path):
+    z, prior = _wide_step_input(path)
+    target = min(1.0, prior.max_prob())
+    first, second = calibrate_temperature(z, target).probs, calibrate_temperature(z, target).probs
+    assert not np.shares_memory(first, second)
+    kept = first.copy()
+    fuse_step(z, prior, 1)
+    top_k_tokens(second, 5)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(softmax_with_temperature(z, 1.0), softmax_with_temperature(z, 1.0))
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_fused_step_allocates_at_most_one_row_and_a_quarter(path):
+    z, prior = _wide_step_input(path)
+    fuse_step(z, prior, 1)  # sizes this thread's scratch rows
+    tracemalloc.start()
+    try:
+        fuse_step(z, prior, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * WIDE
+
+
+@pytest.mark.parametrize("widths", [(2048, WIDE), (WIDE, WIDE)], ids=["own-widths", "one-width"])
+def test_concurrent_threads_match_the_plain_loops(widths):
+    # at their own widths a shared row would be replaced under the other
+    # thread; at one width it would be written by both
+    steps = [list(_wide_vocab_steps(np.random.default_rng(index), size))
+             for index, size in enumerate(widths)]
+    expected = [[ref.fuse_step(z, prior, 1) for z, prior in rows] for rows in steps]
+    start = threading.Barrier(len(widths))
+    mismatches = []
+
+    def run(index):
+        start.wait(timeout=30)
+        for _ in range(4):
+            for (z, prior), want in zip(steps[index], expected[index]):
+                if fuse_step(z, prior, 1) != want:
+                    mismatches.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(widths))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
