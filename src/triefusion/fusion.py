@@ -7,9 +7,9 @@ Per decoding step the engine:
 2. rescales the base logits with a bisection-calibrated temperature so the
    base peak probability matches the trie prior's peak; the bisection is
    replayed from a Newton-seeded bracket, which gives the same floats with a
-   fraction of its full-vocabulary exp passes, and the accepted pass's exp
-   row over its sum is the tempered distribution; a target of 1 clamps to
-   the temperature floor, where every entry more than 7.5e-7 under the peak
+   fraction of its full-vocabulary exp passes; every tempered row is an exp
+   pass over the one shifted row z - max(z) over its sum, but at the
+   temperature floor every entry more than 7.5e-7 under the peak
    underflows to 0, so a row with no other entry that close gets 1/ties on
    the peak's ties and 0 elsewhere without an exp pass,
 3. measures expert disagreement as the square root of the Jensen-Shannon
@@ -82,15 +82,15 @@ class CalibrationResult:
     iterations: int
     # False only when the bisection ran out of iterations before the peak met its target
     converged: bool
-    # softmax(z / temperature), from the accepted evaluation's own exp row
+    # softmax(z / temperature), bit for bit, made by _PeakGaps
     probs: DenseDistribution = field(compare=False, repr=False)
 
 
 class _Scratch(threading.local):
     """This thread's three full-vocabulary rows, replaced when the width changes.
 
-    Row 0 holds the T = 1 softmax behind ``c_lm``, then calibration's shifted
-    row; row 1 holds ``_PeakGaps``' exp row; row 2 holds
+    Row 0 holds the T = 1 softmax behind ``c_lm``, then ``_PeakGaps``'
+    shifted row; row 1 its exp row, behind every calibration row; row 2 holds
     ``entropy_confidence``'s log row and ``top_k_tokens``' working copy. No
     row leaves a public function, and no function writes a row its caller
     still reads.
@@ -158,13 +158,14 @@ class _PeakGaps:
     comparison it makes, the exact gap in between.
     """
 
-    def __init__(self, shifted: np.ndarray, target: float, tol: float, row: np.ndarray):
-        self.shifted = shifted
+    def __init__(self, z: LogitVector, target: float, tol: float, rows: np.ndarray):
+        self.shifted = np.subtract(z, z.max(), out=rows[0])
+        self.ties = int(np.count_nonzero(self.shifted == 0.0))  # 0 unless the max is finite
         self.target = target
         self.margin = max(tol, 0.0) + _GAP_MARGIN
         self.cold = 0.0  # the largest T whose exact gap is above the margin
         self.hot = math.inf  # the smallest T whose exact gap is below -margin
-        self.row = row  # the exp row of the last exact evaluation
+        self.row = rows[1]  # the exp row of the last exact evaluation
         self.total = 1.0  # and its sum
 
     def exact(self, temperature: float) -> float:
@@ -189,6 +190,18 @@ class _PeakGaps:
         """The last exact row over its sum, fresh: softmax_with_temperature's floats at that T."""
         return np.divide(self.row, self.total)
 
+    def clamp(self, temperature: float) -> CalibrationResult:
+        """A clamp's result; at the floor, without the exp pass where only the peak's ties survive it."""
+        if temperature == TEMPERATURE_FLOOR and 0 < self.ties == np.count_nonzero(
+                self.shifted >= -_FLOOR_REACH):
+            # each tie's exp is exp(0) = 1 and every other entry's underflows to 0
+            probs = np.zeros(self.shifted.shape)
+            probs[self.shifted == 0.0] = 1.0 / self.ties
+        else:
+            self.exact(temperature)
+            probs = self.probs()
+        return CalibrationResult(temperature, True, 0, True, probs)
+
     def seed(self) -> None:
         """Pin the root between exact gaps just past the margin on either side.
 
@@ -199,8 +212,7 @@ class _PeakGaps:
         bracket's geometric middle. Two probes sized from the slope at the
         landing point then set the bounds.
         """
-        ties = int(np.count_nonzero(self.shifted == 0.0))
-        excess = 1.0 / self.target - ties  # what the non-peak terms must sum to
+        excess = 1.0 / self.target - self.ties  # what the non-peak terms must sum to
         if not excess > 0.0:  # the peak never exceeds 1/ties: there is no root
             self.exact(TEMPERATURE_FLOOR)
             return
@@ -218,7 +230,7 @@ class _PeakGaps:
                 v_cold = v
             else:
                 v_hot = v
-            rest = float(self.total) - ties
+            rest = float(self.total) - self.ties
             step = v - rest * (math.log(rest) - goal) / slope if rest > 0.0 > slope else v
             if not v_hot < step < v_cold:
                 step = v / 10.0 if gap > 0 else v * 10.0
@@ -261,7 +273,8 @@ def calibrate_temperature(
     The bisection is replayed, not run: a Newton-seeded bracket of exact gaps
     (:class:`_PeakGaps`) decides most midpoints without an exp pass, and the
     rest are evaluated with the bisection's own float ops, so every
-    temperature, flag and iteration count is the plain bisection's.
+    temperature, flag and iteration count is the plain bisection's. The same
+    object makes every ``probs`` row, at a clamp or an unfinished bisection too.
     """
     z = np.asarray(z, dtype=float)
     if z.size < 2:
@@ -269,25 +282,24 @@ def calibrate_temperature(
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max!r}")
 
-    if np.ptp(z) == 0:  # every shifted entry is 0, every exp 1, their sum |V|
+    gap = _PeakGaps(z, target_max, tol, _scratch(z.size))
+    if gap.ties == z.size:  # every shifted entry is 0, every exp 1, their sum |V|
         return CalibrationResult(1.0, True, 0, True, np.full(z.shape, 1.0 / z.size))
     if target_max >= 1.0:
-        return _clamped(z, TEMPERATURE_FLOOR)
+        return gap.clamp(TEMPERATURE_FLOOR)
     if target_max <= 1.0 / z.size:
-        return _clamped(z, TEMPERATURE_CEIL)
+        return gap.clamp(TEMPERATURE_CEIL)
 
-    rows = _scratch(z.size)
-    gap = _PeakGaps(np.subtract(z, z.max(), out=rows[0]), target_max, tol, rows[1])
     gap.seed()
     lo, hi = BRACKET_LO, BRACKET_HI
     while gap(lo) < 0:
         lo *= 0.1
         if lo <= TEMPERATURE_FLOOR:
-            return _clamped(z, TEMPERATURE_FLOOR)
+            return gap.clamp(TEMPERATURE_FLOOR)
     while gap(hi) > 0:
         hi *= 10.0
         if hi >= TEMPERATURE_CEIL:
-            return _clamped(z, TEMPERATURE_CEIL)
+            return gap.clamp(TEMPERATURE_CEIL)
 
     mid = math.sqrt(lo * hi)
     for iteration in range(1, max_iterations + 1):
@@ -300,22 +312,8 @@ def calibrate_temperature(
             lo = mid
         else:
             hi = mid
-    return CalibrationResult(mid, False, max_iterations, False, softmax_with_temperature(z, mid))
-
-
-def _clamped(z: LogitVector, temperature: float) -> CalibrationResult:
-    """A clamp's result; at the floor, without the exp pass where only the peak's ties survive it."""
-    if temperature == TEMPERATURE_FLOOR:
-        top = z.max()
-        peaks = z == top
-        ties = np.count_nonzero(peaks)
-        if math.isfinite(top) and np.count_nonzero(z >= top - _FLOOR_REACH) == ties:
-            # each tie's exp is exp(0) = 1 and every other entry's underflows
-            # to 0, so the sum is ties and the row is 1/ties on the ties, else 0
-            probs = np.zeros(z.shape)
-            probs[peaks] = 1.0 / ties
-            return CalibrationResult(temperature, True, 0, True, probs)
-    return CalibrationResult(temperature, True, 0, True, softmax_with_temperature(z, temperature))
+    gap.exact(mid)  # the last mid's gap may have come from a bound, with no row
+    return CalibrationResult(mid, False, max_iterations, False, gap.probs())
 
 
 def top_k_tokens(q: DenseDistribution, k: int) -> list[TokenId]:
@@ -362,6 +360,8 @@ def root_jensen_shannon(a: Sequence[float], b: Sequence[float]) -> float:
         p = weight_a / mass_a
         q = weight_b / mass_b
         m = 0.5 * (p + q)
+        if m == 0.0:  # p + q is at most the smallest subnormal: the exact term rounds to 0
+            continue
         if p > 0:
             divergence += 0.5 * p * math.log(p / m)
         if q > 0:

@@ -245,7 +245,10 @@ class ExternalLogitProvider(LogitProvider):
             )
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise ProviderUnavailable("response logits must all be numbers")
-        vector = np.asarray(values, dtype=float)
+        try:
+            vector = np.asarray(values, dtype=float)
+        except OverflowError as exc:  # an integer too large for a float
+            raise ProviderUnavailable(f"response logits overflow a float: {exc}") from exc
         if not np.all(np.isfinite(vector)):
             raise ProviderUnavailable("response contains non-finite logits")
         return vector

@@ -22,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 import fusion_ref as ref
 import prior_ref
 
+from triefusion import fusion
 from triefusion.fusion import (
+    TEMPERATURE_CEIL,
     TEMPERATURE_FLOOR,
     calibrate_temperature,
     entropy_confidence,
@@ -260,8 +262,7 @@ def _wide_vocab_row(rng, size, kind):
     z[observed] += rng.uniform(1.0, 9.0, size=observed.size)
     top = int(z.argmax())
     if kind == "near":  # a runner-up within the floor clamp's reach of the peak
-        # not 7.45e-7: its exp(-745) = 5e-324 makes root_jensen_shannon divide by zero
-        z[(top + 1) % size] = z[top] - rng.choice([1e-9, 3e-7, 7.3e-7, 7.44e-7])
+        z[(top + 1) % size] = z[top] - rng.choice([1e-9, 3e-7, 7.3e-7, 7.44e-7, 7.45e-7])
     elif kind == "tied":
         z[observed[: max(2, observed.size - 1)]] = z[top]
     elif kind == "spread":  # exp at T = 1 underflows for most of the row
@@ -311,6 +312,57 @@ def test_floor_clamp_keeps_a_runner_up_that_survives_the_exp():
         with np.errstate(invalid="ignore"):
             assert np.array_equal(calibrate_temperature(z, 1.0).probs,
                                   ref.softmax_with_temperature(z, TEMPERATURE_FLOOR), equal_nan=True)
+
+
+def test_floor_clamp_runner_up_at_the_smallest_subnormal():
+    # exp(-745) = 5e-324 on token 9, where the prior has 0: half their sum rounds to 0
+    z = np.zeros(61)
+    z[7] = 1.0
+    z[9] = 1.0 - 7.45e-7
+    prior = SparseDistribution({3: 1.0})
+    assert calibrate_temperature(z, 1.0).probs[9] == 5e-324
+    assert fuse_step(z.copy(), prior, 1) == ref.fuse_step(z.copy(), prior, 1)
+
+
+def _calibration_exits(size):
+    """(z, target, max_iterations, outcome) reaching each of calibrate_temperature's seven exits.
+
+    The outcome is (clamped, converged, temperature), with no temperature
+    where the bisection sets it.
+    """
+    rng = np.random.default_rng(size)
+    spread = rng.normal(scale=2.0, size=size)
+    near = np.zeros(size)
+    near[0] = 1e-12  # no temperature above the floor lifts this peak near 1
+    wide = np.zeros(size)
+    wide[0] = 1e6  # no temperature below the ceiling brings this peak down to 1/V
+    middle = float(ref.softmax_with_temperature(spread, 0.77).max())
+    floor, ceiling = (True, True, TEMPERATURE_FLOOR), (True, True, TEMPERATURE_CEIL)
+    return [
+        (np.full(size, 0.25), 0.6, 200, (True, True, 1.0)),  # a constant row
+        (spread, 1.0, 200, floor),  # a target of 1
+        (spread, 1.0 / size, 200, ceiling),  # a target <= 1/V
+        (near, 0.9, 200, floor),  # the bracket widened down to the floor
+        (wide, 1.0 / size + 1e-12, 200, ceiling),  # the bracket widened up to the ceiling
+        (spread, middle, 200, (False, True, None)),  # converged
+        (spread, middle, 1, (False, False, None)),  # out of iterations
+    ]
+
+
+@pytest.mark.parametrize("size", [2, WIDE])
+def test_every_calibration_exit_matches_the_plain_bisection(size, monkeypatch):
+    def refused(*args):
+        raise AssertionError("calibration called softmax_with_temperature")
+
+    monkeypatch.setattr(fusion, "softmax_with_temperature", refused)
+    results = []
+    for z, target, max_iterations, (clamped, converged, temperature) in _calibration_exits(size):
+        result = _same_calibration(z, target, max_iterations=max_iterations)
+        assert (result.clamped, result.converged) == (clamped, converged)
+        assert temperature is None or result.temperature == temperature
+        results += [result, calibrate_temperature(z, target, max_iterations=max_iterations)]
+    for first, second in zip(results, results[1:]):
+        assert not np.shares_memory(first.probs, second.probs)
 
 
 def _wide_step_input(path):

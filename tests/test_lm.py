@@ -189,7 +189,8 @@ class TestExternalProtocol:
 
     # json reads NaN and Infinity as floats, so they need their own check
     @pytest.mark.parametrize("logits", [[0.0, "x", 2.0], [0.0, [1.0], 2.0], [0.0, True, 2.0],
-                                        [0.0, math.nan, 2.0], [0.0, -math.inf, 2.0]])
+                                        [0.0, math.nan, 2.0], [0.0, -math.inf, 2.0],
+                                        [0.0, 10**400, 2.0]])
     def test_non_number_elements(self, logits):
         reader, writer = _stub_server(
             [json.dumps({"protocol": PROTOCOL_VERSION}), json.dumps({"logits": logits})]
