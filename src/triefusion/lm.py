@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 import socket
 from collections import Counter
 from typing import Iterable, Sequence
@@ -83,6 +84,27 @@ class NGramModel(LogitProvider):
             if counter is None:
                 counter = self._counts[context] = Counter()
             counter[token] += 1
+
+    def _check_smoothing(self) -> None:
+        """Refuse a ``smoothing_k`` that gives some counted context an inf or a 0 in its row.
+
+        The unseen-token probability ``k / (total + k * vocab)`` is smallest
+        for the largest total, so checking that context checks them all. A
+        model file can hold int counts whose total no float holds; those are
+        refused here too.
+        """
+        total = max((sum(counter.values()) for counter in self._counts.values()), default=0)
+        k = self.smoothing_k
+        try:
+            denominator = total + k * self._vocab_size
+        except OverflowError:
+            raise ValueError(f"n-gram counts too large: a context's counts total a "
+                             f"{len(str(total))}-digit number, past the float range") from None
+        if not (math.isfinite(denominator) and k / denominator > 0):
+            raise ValueError(
+                f"smoothing_k {k!r} breaks the n-gram rows: a context of {total} counts over "
+                f"{self._vocab_size} tokens gets denominator {denominator!r} and unseen-token "
+                f"probability {k / denominator!r}")
 
     def _context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
         return tuple(prefix[max(0, len(prefix) - self.order + 1) :])
@@ -156,6 +178,7 @@ class NGramModel(LogitProvider):
                 need(token in ids and token not in counter and count >= 1, f"{key}[1][{j}]",
                      f"a new id below {len(ids)} and a count >= 1", pair)
                 counter[token] = count
+        model._check_smoothing()
         return model
 
 
@@ -175,6 +198,7 @@ def train_ngram(
     for seq in sequences:
         if seq:
             model._observe(seq)
+    model._check_smoothing()
     return model
 
 

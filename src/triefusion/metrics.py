@@ -10,7 +10,8 @@ Conventions (also flagged in CLI output headers):
 * bleu: sentence-level, n-gram orders 1..4 but never longer than the
   hypothesis, uniform weights, add-one smoothing on every order, times the
   standard brevity penalty. Scores sit in [0, 1].
-* rouge_l: F1 of the longest common subsequence over whitespace tokens.
+* rouge_l: F1 of the longest common subsequence over whitespace tokens, its
+  length bit-parallel (Crochemore et al. 2001, Hyyro 2004) over the hypothesis.
 * chrf: character n-gram F-score, orders 1..6 on whitespace-stripped text,
   recall-weighted with beta = 2, scaled to [0, 100].
 
@@ -61,9 +62,7 @@ def levenshtein(a: str, b: str) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    peq: dict[str, int] = {}
-    for i, char in enumerate(b):
-        peq[char] = peq.get(char, 0) | (1 << i)
+    peq = _match_masks(b)
     mask = (1 << len(b)) - 1
     last = 1 << (len(b) - 1)
     vp, vn, score = mask, 0, len(b)
@@ -85,37 +84,39 @@ def levenshtein(a: str, b: str) -> int:
     return score
 
 
+def _match_masks(items: Sequence) -> dict:
+    """Bit ``i`` of ``masks[x]`` is set where ``items[i] == x``."""
+    masks: dict = {}
+    for i, item in enumerate(items):
+        masks[item] = masks.get(item, 0) | (1 << i)
+    return masks
+
+
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for item_a in a:
-        current = [0]
-        for j, item_b in enumerate(b, start=1):
-            if item_a == item_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    """LCS length; a zero bit ``j`` of ``v`` is a +1 step of the DP column at ``b[j]``."""
+    masks = _match_masks(b)
+    full = (1 << len(b)) - 1
+    v = full
+    for item in a:
+        u = v & masks.get(item, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _ngram_counts(items: Sequence, n: int) -> Counter:
-    return Counter(tuple(items[i : i + n]) for i in range(len(items) - n + 1))
+    return Counter(items[i : i + n] for i in range(len(items) - n + 1))
 
 
 def sentence_bleu(reference_tokens: Sequence[str], hypothesis_tokens: Sequence[str]) -> float:
-    hyp_len = len(hypothesis_tokens)
-    ref_len = len(reference_tokens)
+    reference, hypothesis = tuple(reference_tokens), tuple(hypothesis_tokens)
+    hyp_len, ref_len = len(hypothesis), len(reference)
     if hyp_len == 0:
         return 0.0
     log_precisions = []
     for order in range(1, min(4, hyp_len) + 1):
-        hyp_counts = _ngram_counts(hypothesis_tokens, order)
-        ref_counts = _ngram_counts(reference_tokens, order)
-        clipped = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-        total = sum(hyp_counts.values())
-        log_precisions.append(math.log((clipped + 1) / (total + 1)))
+        counts = _ngram_counts(hypothesis, order) & _ngram_counts(reference, order)
+        total = hyp_len - order + 1
+        log_precisions.append(math.log((sum(counts.values()) + 1) / (total + 1)))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(left_sum(log_precisions) / len(log_precisions))
 
@@ -136,14 +137,12 @@ def chrf(reference: str, hypothesis: str, max_order: int = 6, beta: float = 2.0)
     hyp_chars = "".join(hypothesis.split())
     precisions = []
     recalls = []
-    for order in range(1, max_order + 1):
-        ref_counts = _ngram_counts(ref_chars, order)
-        hyp_counts = _ngram_counts(hyp_chars, order)
-        ref_total = sum(ref_counts.values())
-        hyp_total = sum(hyp_counts.values())
-        if ref_total == 0 and hyp_total == 0:
-            continue
-        matches = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+    longest = max(len(ref_chars), len(hyp_chars))
+    for order in range(1, min(max_order, longest) + 1):
+        ref_total = max(len(ref_chars) - order + 1, 0)
+        hyp_total = max(len(hyp_chars) - order + 1, 0)
+        counts = _ngram_counts(hyp_chars, order) & _ngram_counts(ref_chars, order)
+        matches = sum(counts.values())
         precisions.append(matches / hyp_total if hyp_total else 0.0)
         recalls.append(matches / ref_total if ref_total else 0.0)
     if not precisions:

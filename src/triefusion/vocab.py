@@ -62,8 +62,17 @@ class VocabRegistry:
 
     @classmethod
     def load(cls, path) -> "VocabRegistry":
+        """Read a :meth:`save` file; a token on two lines would shift every later id."""
+        registry = cls()
         with open(path, encoding="utf-8") as fh:
-            return cls(line.rstrip("\n") for line in fh)
+            for line_number, line in enumerate(fh, start=1):
+                token = line.rstrip("\n")
+                if token in registry:
+                    raise ValueError(
+                        f"vocabulary file {path} line {line_number} repeats token {token!r} "
+                        f"from line {registry.id_of(token) + 1}")
+                registry.add(token)
+        return registry
 
 
 def tokenize(text: str, registry: VocabRegistry, grow: bool = False) -> list[TokenId]:

@@ -276,6 +276,17 @@ class TestRun:
         assert captured.out == ""
         assert "outside the 5-token --vocab" in captured.err
 
+    def test_trie_dump_with_repeated_vocab_token_prints_nothing(self, tmp_path, capsys):
+        snap, vocab = tmp_path / "trie.bin", tmp_path / "vocab.txt"
+        trie = PrefixTrie(n_max=3)
+        trie.insert_sequence([0, 2], 1.0)
+        snap.write_bytes(trie.snapshot())
+        vocab.write_text("a\nb\na\nc\n")
+        assert main(["trie", "--snapshot", str(snap), "--dump", "--vocab", str(vocab)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"vocabulary file {vocab} line 3 repeats token 'a' from line 1" in captured.err
+
     def test_trie_vocab_without_dump_is_refused(self, tmp_path, capsys):
         snap = tmp_path / "trie.bin"
         trie = PrefixTrie(n_max=3)
@@ -430,6 +441,82 @@ class TestTrainLm:
         assert main(["train-lm", "--corpus", str(corpus), "--out", str(model)]) == 0
         assert main(["run", "--scenario", str(small_scenario), "--lm-model", str(model),
                      "--out", str(tmp_path / "r.jsonl")]) == 2
+
+    def test_repeated_vocab_token_rejected(self, tmp_path, capsys):
+        corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+        corpus.write_text("a b c\n")
+        vocab.write_text("a\nb\na\nc\n")
+        model = tmp_path / "model.json"
+        assert main(["train-lm", "--corpus", str(corpus), "--vocab-in", str(vocab),
+                     "--out", str(model)]) == 2
+        assert "line 3 repeats token 'a' from line 1" in capsys.readouterr().err
+        assert not model.exists()
+
+
+def _smoothing_run(tmp_path, small_scenario, model_file, path, k):
+    """Arguments of one ``main`` call that meets ``smoothing_k = k`` on ``path``."""
+    out = tmp_path / "out.json"
+    if path == "flag":
+        return ["run", "--scenario", str(small_scenario), "--smoothing-k", repr(k),
+                "--out", str(out)], out
+    if path == "scenario":
+        scenario = json.loads(small_scenario.read_text())
+        scenario["base_lm"] = {**scenario.get("base_lm", {}), "smoothing_k": k}
+        edited = tmp_path / "scenario.json"
+        edited.write_text(json.dumps(scenario))
+        return ["run", "--scenario", str(edited), "--out", str(out)], out
+    if path == "train-lm":
+        corpus = tmp_path / "corpus.txt"
+        # 20 tokens, so 1e307 * V overflows as it does on the scenario's vocabulary
+        corpus.write_text((" ".join(f"w{i}" for i in range(19)) + " </s>\n") * 2)
+        return ["train-lm", "--corpus", str(corpus), "--smoothing-k", repr(k),
+                "--out", str(out)], out
+    model = json.loads(model_file.read_text())
+    model["smoothing_k"] = k
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(model))
+    return ["run", "--scenario", str(small_scenario), "--lm-model", str(edited),
+            "--out", str(out)], out
+
+
+class TestSmoothingConstant:
+    PATHS = ("flag", "scenario", "train-lm", "model-file")
+
+    # 5e-324 rounds k / (total + k * V) to 0; 1e307 overflows k * V
+    @pytest.mark.parametrize("k", [5e-324, 1e307])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_breaking_constant_refused_before_decoding(self, tmp_path, small_scenario,
+                                                       model_file, capsys, path, k):
+        argv, out = _smoothing_run(tmp_path, small_scenario, model_file, path, k)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"smoothing_k {k!r} breaks the n-gram rows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_counts_totalling_past_float_range_refused(self, tmp_path, small_scenario,
+                                                      model_file, capsys):
+        # each count is a finite float, but their total overflows the row's denominator
+        model = json.loads(model_file.read_text())
+        pairs = model["contexts"][0][1]
+        assert len(pairs) >= 2
+        for pair in pairs:
+            pair[1] = 10**308
+        edited = tmp_path / "model.json"
+        edited.write_text(json.dumps(model))
+        out = tmp_path / "out.json"
+        assert main(["run", "--scenario", str(small_scenario), "--lm-model", str(edited),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n-gram counts too large" in err and "309-digit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_tiny_constant_still_decodes(self, tmp_path, small_scenario, model_file, path):
+        argv, out = _smoothing_run(tmp_path, small_scenario, model_file, path, 1e-320)
+        assert main(argv) == 0
+        assert out.exists()
 
 
 class TestCompare:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import socket
 import threading
 
@@ -126,6 +127,13 @@ class TestNGram:
             train_ngram([[0, 1]], order=0, smoothing_k=0.5)
         with pytest.raises(ValueError):
             train_ngram([[0, 1]], order=2, smoothing_k=0.0)
+
+    @pytest.mark.parametrize("k", [5e-324, 1e308])
+    def test_smoothing_that_breaks_a_row_is_refused(self, k):
+        # a row with a 0 or behind an infinite denominator has a -inf logit
+        message = re.escape(f"smoothing_k {k!r} breaks the n-gram rows")
+        with pytest.raises(ValueError, match=message):
+            train_ngram([[0, 1], [0, 1]], order=2, smoothing_k=k)
 
     def test_save_load_roundtrip(self, tmp_path):
         model = train_ngram([[0, 1, 2], [0, 1, 1]], order=3, smoothing_k=0.2, vocab_size=5)

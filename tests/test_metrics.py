@@ -7,6 +7,7 @@ from metric_refs import (
     ref_aggregate_with_ci,
     ref_bleu,
     ref_chrf,
+    ref_lcs,
     ref_levenshtein,
     ref_rouge_l,
 )
@@ -14,6 +15,7 @@ from triefusion.metrics import (
     METRIC_FIELDS,
     MetricBundle,
     _bootstrap_picks,
+    _lcs_length,
     aggregate,
     aggregate_with_ci,
     chrf,
@@ -87,6 +89,9 @@ class TestAgainstIndependentImplementations:
     def test_bleu(self, ref, hyp):
         assert sentence_bleu(ref.split(), hyp.split()) == pytest.approx(
             ref_bleu(ref, hyp), abs=1e-12
+        )
+        assert sentence_bleu(tuple(ref.split()), tuple(hyp.split())) == sentence_bleu(
+            ref.split(), hyp.split()
         )
 
     @pytest.mark.parametrize("ref,hyp", FIXED_PAIRS)
@@ -196,6 +201,16 @@ def test_levenshtein_matches_reference(a, b):
 def test_levenshtein_matches_reference_past_word_width(a, b):
     # two-letter text keeps many equal characters on both sides of bit 64
     assert levenshtein(a, b) == ref_levenshtein(a, b)
+
+
+_TOKENS = st.sampled_from(["ab", "cd", "ef"])
+
+
+@given(st.lists(_TOKENS, max_size=150), st.lists(_TOKENS, min_size=65, max_size=150))
+@settings(max_examples=100, deadline=None)
+def test_lcs_matches_reference_past_word_width(a, b):
+    # few symbols keep many matches on both sides of bit 64 of the hypothesis mask
+    assert _lcs_length(a, b) == ref_lcs(tuple(a), tuple(b))
 
 
 @given(

@@ -66,6 +66,14 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.id_of("5G") == registry.id_of("5G")
 
 
+def test_load_rejects_repeated_token(tmp_path):
+    # the line number is the id, so a repeat would shift every later token
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\na\nc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 3 repeats token 'a' from line 1"):
+        VocabRegistry.load(path)
+
+
 def test_add_rejects_multiword():
     with pytest.raises(ValueError):
         VocabRegistry().add("two words")
