@@ -65,6 +65,8 @@ ENV_SCENARIO = "TRIEFUSION_SCENARIO"
 STREAM_FORMAT = "triefusion-stream/1"
 DRIFT_GRACE_ITEMS = 5
 STRATEGY_ORDER = ("greedy", "temp-scaled", "odd")
+# one encoder for every output line: json.dumps would build this one per call
+_JSON_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 TABLE_HEADER_NOTES = (
     "# mean metric value per strategy over all stream items",
@@ -450,7 +452,7 @@ def summarize_strategy(experiment: Experiment, records: list[ItemRecord], strate
 
 
 def _dump_json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _JSON_LINE.encode(obj) + "\n"
 
 
 def write_results(records: list[ItemRecord], path: Path) -> None:

@@ -10,8 +10,10 @@ Per decoding step the engine:
    fraction of its full-vocabulary exp passes; every tempered row is an exp
    pass over the one shifted row z - max(z) over its sum, but at the
    temperature floor every entry more than 7.5e-7 under the peak
-   underflows to 0, so a row with no other entry that close gets 1/ties on
-   the peak's ties and 0 elsewhere without an exp pass,
+   underflows to 0; a prior peaking at 1 sets that floor, and where no
+   entry but the peak's ties is that close, the step finishes from the
+   row's :class:`RowSummary` (width, ``c_lm``, tie ids), which spares later
+   steps on the same prefix the dense row,
 3. measures expert disagreement as the square root of the Jensen-Shannon
    divergence between the two distributions renormalized over the union of
    their top-k tokens,
@@ -24,8 +26,9 @@ Per decoding step the engine:
 Steps with no trie candidates bypass all of this and fall back to greedy
 selection from the raw logits, resetting the agreement streak.
 
-Everything here is pure; the agreement streak is an int that each step
-takes and returns, one per generated sequence. Full-vocabulary temporaries
+Everything here is pure but for the summary a dense step leaves in its
+:class:`BaseRow`; the agreement streak is an int that each step takes and
+returns, one per generated sequence. Full-vocabulary temporaries
 live in three scratch rows per thread (24 bytes per vocabulary entry, kept
 for the last width used); only ``softmax_with_temperature``'s return and
 ``CalibrationResult.probs`` are fresh arrays.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -190,10 +194,13 @@ class _PeakGaps:
         """The last exact row over its sum, fresh: softmax_with_temperature's floats at that T."""
         return np.divide(self.row, self.total)
 
+    def floor_only(self) -> bool:
+        """Whether only the peak's ties survive the exp at the floor, no other entry within reach."""
+        return 0 < self.ties == np.count_nonzero(self.shifted >= -_FLOOR_REACH)
+
     def clamp(self, temperature: float) -> CalibrationResult:
         """A clamp's result; at the floor, without the exp pass where only the peak's ties survive it."""
-        if temperature == TEMPERATURE_FLOOR and 0 < self.ties == np.count_nonzero(
-                self.shifted >= -_FLOOR_REACH):
+        if temperature == TEMPERATURE_FLOOR and self.floor_only():
             # each tie's exp is exp(0) = 1 and every other entry's underflows to 0
             probs = np.zeros(self.shifted.shape)
             probs[self.shifted == 0.0] = 1.0 / self.ties
@@ -282,12 +289,16 @@ def calibrate_temperature(
     if not 0.0 < target_max <= 1.0:
         raise ValueError(f"target_max must be in (0, 1], got {target_max!r}")
 
-    gap = _PeakGaps(z, target_max, tol, _scratch(z.size))
-    if gap.ties == z.size:  # every shifted entry is 0, every exp 1, their sum |V|
-        return CalibrationResult(1.0, True, 0, True, np.full(z.shape, 1.0 / z.size))
-    if target_max >= 1.0:
+    return _calibrated(_PeakGaps(z, target_max, tol, _scratch(z.size)), tol, max_iterations)
+
+
+def _calibrated(gap: _PeakGaps, tol: float, max_iterations: int) -> CalibrationResult:
+    size = gap.shifted.size
+    if gap.ties == size:  # every shifted entry is 0, every exp 1, their sum |V|
+        return CalibrationResult(1.0, True, 0, True, np.full(gap.shifted.shape, 1.0 / size))
+    if gap.target >= 1.0:
         return gap.clamp(TEMPERATURE_FLOOR)
-    if target_max <= 1.0 / z.size:
+    if gap.target <= 1.0 / size:
         return gap.clamp(TEMPERATURE_CEIL)
 
     gap.seed()
@@ -345,7 +356,10 @@ def disagreement(q_lm: DenseDistribution, prior: SparseDistribution, k: int = DE
     """
     q_lm = np.asarray(q_lm, dtype=float)
     union = sorted(set(top_k_tokens(q_lm, k)) | set(prior.top_tokens(k)))
-    lm_raw = [float(q_lm[token]) for token in union]
+    return _union_disagreement(union, [float(q_lm[token]) for token in union], prior)
+
+
+def _union_disagreement(union: list[TokenId], lm_raw: list[float], prior) -> float:
     trie_raw = [prior.probs.get(token, 0.0) for token in union]
     if left_sum(lm_raw) <= 0.0 or left_sum(trie_raw) <= 0.0:
         return 1.0  # degenerate support
@@ -425,56 +439,121 @@ def bypass_step(
     return int(np.argmax(z)), diagnostics, 0
 
 
+def _check_support(prior: SparseDistribution, size: int) -> None:
+    support = list(prior.probs)  # ascending, so its ends bound every token
+    for token in (support[0], support[-1]):
+        if not 0 <= token < size:
+            raise ValueError(f"prior token {token} outside vocabulary of {size}")
+
+
+@dataclass(frozen=True, slots=True)
+class RowSummary:
+    """What a fused step whose prior peaks at 1, so calibrates to the floor, reads of its row.
+
+    Where the ties are not the whole row and no other entry is within ``_FLOOR_REACH`` of
+    the peak (the floor shortcut), the clamped row is 1/ties on the ascending ``ties`` and 0
+    elsewhere; ``ties`` is None where the shortcut does not apply.
+    """
+
+    size: int
+    c_lm: float
+    ties: tuple[TokenId, ...] | None
+
+    def finishes(self, prior: SparseDistribution) -> bool:
+        """Whether this summary alone finishes a fused step under ``prior``."""
+        return self.ties is not None and prior.max_prob() >= 1.0
+
+
+@dataclass(slots=True)
+class BaseRow:
+    """A fused step's base-model row: ``dense`` may be None where ``summary`` finishes the step."""
+
+    dense: LogitVector | None = None
+    summary: RowSummary | None = None
+
+
 def fuse_step(
-    z: LogitVector,
+    z: LogitVector | BaseRow,
     prior: SparseDistribution | None,
     run_length: int = 0,
     top_k: int = DEFAULT_TOP_K,
     continuity_scale: float = CONTINUITY_SCALE,
 ) -> tuple[TokenId, StepDiagnostics, int]:
-    """One step after a streak of ``run_length``; returns (token, diagnostics, new streak)."""
-    if prior is None:
-        return bypass_step(z)
-    z = _checked_logits(z)
-    support = list(prior.probs)  # ascending, so its ends bound every token
-    for token in (support[0], support[-1]):
-        if not 0 <= token < z.size:
-            raise ValueError(f"prior token {token} outside vocabulary of {z.size}")
+    """One step after a streak of ``run_length``; returns (token, diagnostics, new streak).
 
-    c_lm = entropy_confidence(_softmax(z, 1.0, _scratch(z.size)[0]))
+    ``z`` is the dense row, or a :class:`BaseRow`, where a dense step whose prior peaks at 1
+    leaves the row's :class:`RowSummary`. Every step the floor shortcut covers finishes from
+    that summary, with the dense path's floats and token ids.
+    """
+    row = z if isinstance(z, BaseRow) else BaseRow(z)
+    if prior is None:
+        return bypass_step(row.dense)
     # weight/probability validation tolerates 1e-9 of slack; keep the peak a
     # legal calibration target
-    score_max = min(1.0, prior.max_prob())
-    c_trie = score_max
-    calibration = calibrate_temperature(z, score_max)
-    q_lm = calibration.probs
-    omega = disagreement(q_lm, prior, top_k)
+    c_trie = min(1.0, prior.max_prob())
+    summary, calibration = row.summary, None
+    if summary is None or not summary.finishes(prior):
+        z = _checked_logits(row.dense)
+        _check_support(prior, z.size)
+        # a summary an earlier step on this prefix left spares the T = 1 pass
+        c_lm = summary.c_lm if summary else entropy_confidence(_softmax(z, 1.0, _scratch(z.size)[0]))
+        if c_trie < 1.0:
+            calibration = calibrate_temperature(z, c_trie)
+        else:
+            gap = _PeakGaps(z, 1.0, 1e-9, _scratch(z.size))
+            if summary is None:
+                shortcut = gap.ties < z.size and gap.floor_only()
+                ties = tuple(np.flatnonzero(gap.shifted == 0.0).tolist()) if shortcut else None
+                summary = row.summary = RowSummary(z.size, c_lm, ties)
+            if summary.ties is None:  # a constant row, or a runner-up within the floor's reach
+                calibration = _calibrated(gap, 1e-9, 200)
+    if calibration is None:
+        return _floor_finish(summary, c_trie, prior, run_length, top_k, continuity_scale)
+    return _dense_finish(c_lm, c_trie, calibration, prior, run_length, top_k, continuity_scale)
+
+
+def _diagnostics(c_lm, c_trie, omega, run_length, continuity_scale, temperature, clamped):
     continuity_value = continuity(run_length, continuity_scale)
     c_lm_adjusted, c_trie_adjusted = adjust_confidences(c_lm, c_trie, omega, continuity_value)
     denominator = c_lm_adjusted + c_trie_adjusted
     gamma = 0.5 if denominator == 0.0 else c_lm_adjusted / denominator
+    return StepDiagnostics(c_lm, c_trie, c_lm_adjusted, c_trie_adjusted, omega, continuity_value,
+                           gamma, temperature, clamped, False)
 
+
+def _dense_finish(c_lm, c_trie, calibration, prior, run_length, top_k, continuity_scale):
+    q_lm = calibration.probs
+    omega = disagreement(q_lm, prior, top_k)
+    diagnostics = _diagnostics(c_lm, c_trie, omega, run_length, continuity_scale,
+                               calibration.temperature, calibration.clamped)
     lm_top = int(np.argmax(q_lm))
     fused = q_lm  # scaled in place: q_lm is not read again
-    fused *= gamma
-    trie_share = 1.0 - gamma
+    fused *= diagnostics.gamma
+    trie_share = 1.0 - diagnostics.gamma
     for token, prob in prior.probs.items():
         fused[token] += trie_share * prob
     chosen = int(np.argmax(fused))
-
     streak = run_length + 1 if lm_top == prior.argmax_token() else 0
-    diagnostics = StepDiagnostics(
-        c_lm=c_lm,
-        c_trie=c_trie,
-        c_lm_adjusted=c_lm_adjusted,
-        c_trie_adjusted=c_trie_adjusted,
-        omega=omega,
-        continuity=continuity_value,
-        gamma=gamma,
-        temperature=calibration.temperature,
-        temperature_clamped=calibration.clamped,
-        bypass=False,
-    )
+    return chosen, diagnostics, streak
+
+
+def _floor_finish(summary, c_trie, prior, run_length, top_k, continuity_scale):
+    """The dense finish on the floor-clamped row, 1/ties on ``summary.ties`` and 0 elsewhere."""
+    _check_support(prior, summary.size)
+    ties, tied, share = summary.ties, set(summary.ties), 1.0 / len(summary.ties)
+    # top_k_tokens on that row: the ties in id order, then the smallest other ids
+    others = (token for token in range(summary.size) if token not in tied)
+    lm_top_k = [*ties[:top_k], *islice(others, max(0, top_k - len(ties)))]
+    union = sorted(set(lm_top_k) | set(prior.top_tokens(top_k)))
+    omega = _union_disagreement(union, [share if token in tied else 0.0 for token in union], prior)
+    diagnostics = _diagnostics(summary.c_lm, c_trie, omega, run_length, continuity_scale,
+                               TEMPERATURE_FLOOR, True)
+    # The dense mix's argmax, unmixed: at c_trie = 1, gamma <= 1/2, so the prior's top token
+    # (p >= 1) gets (1 - gamma) p >= 1/2, and its tie share if it is a tie. Every other p is
+    # under 1e-9, and with the top token off the ties omega is near sqrt(ln 2), which keeps
+    # gamma, and so every tie's share, under 1/4.
+    chosen = prior.argmax_token()
+    streak = run_length + 1 if ties[0] == chosen else 0
     return chosen, diagnostics, streak
 
 
@@ -513,8 +592,9 @@ class Decoder:
         return self.config.strategy == "odd"
 
     def step(
-        self, z: LogitVector, prior: SparseDistribution | None, run_length: int
+        self, z: LogitVector | BaseRow, prior: SparseDistribution | None, run_length: int
     ) -> tuple[TokenId, StepDiagnostics, int]:
+        """One step of the configured strategy; only ``odd`` takes a :class:`BaseRow`."""
         if self.wants_prior:
             return fuse_step(z, prior, run_length, self.config.top_k, self.config.continuity_scale)
         scaled = self.config.strategy == "temp-scaled"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fusion import Decoder, StepDiagnostics
+from .fusion import BaseRow, Decoder, RowSummary, StepDiagnostics
 from .lm import LogitProvider
 from .metrics import MetricBundle, evaluate_pair
 from .prior import trie_prior
@@ -53,6 +53,33 @@ class ItemRecord:
         }
 
 
+class _RowMemo(LogitProvider):
+    """``provider`` for the fused steps of one run, with a :class:`RowSummary` per prefix.
+
+    A step that its prefix's summary finishes makes no base-model call. A row
+    depends on its whole prefix, which keys the memo.
+    """
+
+    def __init__(self, provider: LogitProvider):
+        super().__init__(provider.vocab_size)
+        self.provider = provider
+        self.summaries: dict[tuple[TokenId, ...], RowSummary] = {}
+
+    def logits(self, prefix: Sequence[TokenId]):
+        return self.provider.logits(prefix)
+
+    def step(self, decoder: Decoder, ids: list[TokenId], prior, run_length: int):
+        """``decoder.step`` on the row of ``ids``, dense only where no summary finishes the step."""
+        key = tuple(ids)
+        row = BaseRow(summary=self.summaries.get(key))
+        if prior is None or row.summary is None or not row.summary.finishes(prior):
+            row.dense = self.provider.logits(ids)
+        result = decoder.step(row, prior, run_length)
+        if row.summary is not None:
+            self.summaries[key] = row.summary
+        return result
+
+
 def decode_sequence(
     prompt: Sequence[TokenId],
     trie: PrefixTrie | None,
@@ -69,16 +96,19 @@ def decode_sequence(
     Returns the extended ids, per-step diagnostics, and per-step prior
     supports (None where no prior was consulted).
     """
+    if decoder.wants_prior and not isinstance(provider, _RowMemo):
+        provider = _RowMemo(provider)
     ids = list(prompt)
     steps: list[StepDiagnostics] = []
     priors: list[tuple[tuple[TokenId, float], ...] | None] = []
     run_length = 0
     for _ in range(decoder.config.max_new_tokens):
-        z = provider.logits(ids)
-        prior = None
-        if decoder.wants_prior and ids:
-            prior = trie_prior(trie, ids, now, decoder.config.weights)
-        token, diagnostics, run_length = decoder.step(z, prior, run_length)
+        if decoder.wants_prior:
+            prior = trie_prior(trie, ids, now, decoder.config.weights) if ids else None
+            token, diagnostics, run_length = provider.step(decoder, ids, prior, run_length)
+        else:
+            prior = None
+            token, diagnostics, run_length = decoder.step(provider.logits(ids), None, run_length)
         steps.append(diagnostics)
         priors.append(tuple(prior.probs.items()) if prior is not None else None)
         ids.append(token)
@@ -108,6 +138,8 @@ def run_online(
     # a decode that reads no trie depends on its prompt alone, so records of one
     # prompt share its tuples; odd reads a trie that changes after every item
     decoded: dict[tuple[TokenId, ...], tuple] | None = None if decoder.wants_prior else {}
+    if decoder.wants_prior:  # odd's steps share one row summary per prefix instead
+        provider = _RowMemo(provider)
     for item in stream:
         if decoded is None:
             ids, steps, priors = decode_sequence(

@@ -67,11 +67,14 @@ class VocabRegistry:
         with open(path, encoding="utf-8") as fh:
             for line_number, line in enumerate(fh, start=1):
                 token = line.rstrip("\n")
+                where = f"vocabulary file {path} line {line_number}"
                 if token in registry:
-                    raise ValueError(
-                        f"vocabulary file {path} line {line_number} repeats token {token!r} "
-                        f"from line {registry.id_of(token) + 1}")
-                registry.add(token)
+                    raise ValueError(f"{where} repeats token {token!r} "
+                                     f"from line {registry.id_of(token) + 1}")
+                try:
+                    registry.add(token)
+                except ValueError:  # a blank line, or one holding whitespace
+                    raise ValueError(f"{where} holds {token!r}, not one word") from None
         return registry
 
 

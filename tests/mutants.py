@@ -62,6 +62,24 @@ MUTANTS = (
     Mutant("smoothing-unchecked", "src/triefusion/lm.py",
            "if not (math.isfinite(denominator) and k / denominator > 0):", "if False:",
            ("tests/test_lm.py", "tests/test_cli.py::TestSmoothingConstant")),
+    Mutant("row-memo-keyed-by-last-token", "src/triefusion/harness.py",
+           "key = tuple(ids)", "key = tuple(ids[-1:])",
+           ("tests/test_harness.py::test_odd_decodes_like_the_dense_path",)),
+    Mutant("row-summary-below-peak-one", "src/triefusion/fusion.py",
+           "return self.ties is not None and prior.max_prob() >= 1.0",
+           "return self.ties is not None",
+           ("tests/test_harness.py::test_odd_decodes_like_the_dense_path",)),
+    Mutant("floor-top-k-from-largest-id", "src/triefusion/fusion.py",
+           "for token in range(summary.size) if", "for token in reversed(range(summary.size)) if",
+           ("tests/test_fusion_equivalence.py"
+            "::test_floor_steps_from_the_row_summary_match_the_plain_loops",)),
+    Mutant("floor-step-picks-the-base-top", "src/triefusion/fusion.py",
+           "chosen = prior.argmax_token()", "chosen = ties[-1]",
+           ("tests/test_fusion_equivalence.py"
+            "::test_floor_steps_from_the_row_summary_match_the_plain_loops",)),
+    Mutant("tie-ids-without-shortcut", "src/triefusion/fusion.py",
+           ".tolist()) if shortcut else None", ".tolist())",
+           ("tests/test_harness.py::test_row_memo_holds_under_a_kilobyte_per_prefix",)),
 )
 
 

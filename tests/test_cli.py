@@ -5,6 +5,7 @@ import json
 import socket
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +306,31 @@ class TestRun:
         assert main(["trie", "--snapshot", str(bad)]) == 2
 
 
+def _run_served(tmp_path, small_scenario, strategy, backing) -> tuple[int, Path]:
+    """``run --lm external`` against ``backing`` served over one local TCP connection."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    port = server.getsockname()[1]
+
+    def serve_one():
+        conn, _ = server.accept()
+        with conn:
+            serve_logits(backing, conn.makefile("r"), conn.makefile("w"))
+
+    thread = threading.Thread(target=serve_one, daemon=True)
+    thread.start()
+    out_ext = tmp_path / "external.jsonl"
+    code = main([
+        "run", "--scenario", str(small_scenario), "--strategy", strategy,
+        "--lm", "external", "--endpoint", f"127.0.0.1:{port}",
+        "--out", str(out_ext),
+    ])
+    thread.join(timeout=10)
+    server.close()
+    return code, out_ext
+
+
 class TestExternalProviderGlue:
     @pytest.mark.parametrize("strategy", ["odd", "greedy"])
     def test_run_against_tcp_served_model(self, tmp_path, small_scenario, strategy):
@@ -314,32 +340,35 @@ class TestExternalProviderGlue:
         backing = train_ngram(
             experiment.warmup_corpus, 3, 1.0, vocab_size=len(experiment.registry)
         )
-
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-
-        def serve_one():
-            conn, _ = server.accept()
-            with conn:
-                serve_logits(backing, conn.makefile("r"), conn.makefile("w"))
-
-        thread = threading.Thread(target=serve_one, daemon=True)
-        thread.start()
-        out_ext = tmp_path / "external.jsonl"
+        code, out_ext = _run_served(tmp_path, small_scenario, strategy, backing)
         out_builtin = tmp_path / "builtin.jsonl"
-        code = main([
-            "run", "--scenario", str(small_scenario), "--strategy", strategy,
-            "--lm", "external", "--endpoint", f"127.0.0.1:{port}",
-            "--out", str(out_ext),
-        ])
-        thread.join(timeout=10)
-        server.close()
         assert code == 0
         assert main(["run", "--scenario", str(small_scenario), "--strategy", strategy,
                      "--out", str(out_builtin)]) == 0
         assert out_ext.read_bytes() == out_builtin.read_bytes()
+
+    def test_odd_requests_no_row_that_a_summary_covers(self, tmp_path, small_scenario):
+        """odd sends fewer requests than it decodes steps, with the builtin path's bytes."""
+        experiment = build_experiment(json.loads(small_scenario.read_text()))
+        backing = train_ngram(
+            experiment.warmup_corpus, 3, 1.0, vocab_size=len(experiment.registry)
+        )
+        requests = []
+        served = backing.logits
+
+        def counted(prefix):
+            requests.append(prefix)
+            return served(prefix)
+
+        backing.logits = counted
+        code, out_ext = _run_served(tmp_path, small_scenario, "odd", backing)
+        out_builtin = tmp_path / "builtin.jsonl"
+        assert code == 0
+        assert main(["run", "--scenario", str(small_scenario), "--strategy", "odd",
+                     "--out", str(out_builtin)]) == 0
+        assert out_ext.read_bytes() == out_builtin.read_bytes()
+        steps = sum(json.loads(line)["steps"] for line in out_ext.read_text().splitlines())
+        assert 0 < len(requests) < steps
 
 
 class TestTrainLm:
@@ -450,6 +479,16 @@ class TestTrainLm:
         assert main(["train-lm", "--corpus", str(corpus), "--vocab-in", str(vocab),
                      "--out", str(model)]) == 2
         assert "line 3 repeats token 'a' from line 1" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_blank_vocab_line_rejected(self, tmp_path, capsys):
+        corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+        corpus.write_text("a b c\n")
+        vocab.write_text("a\n\nb\n")
+        model = tmp_path / "model.json"
+        assert main(["train-lm", "--corpus", str(corpus), "--vocab-in", str(vocab),
+                     "--out", str(model)]) == 2
+        assert f"vocabulary file {vocab} line 2 holds ''" in capsys.readouterr().err
         assert not model.exists()
 
 

@@ -2,9 +2,10 @@
 
 Calibration replays the bisection from a Newton-seeded bracket, ``q_lm`` is
 the accepted evaluation's own exp row, the floor clamp skips its exp pass
-where only the peak's ties survive it, and top-k takes k argmax passes; the
-prior's top tokens come from a keyed stable sort and ``fuse_step`` checks
-only the ends of the prior's ascending support. Every one of them must give
+where only the peak's ties survive it (and a step whose prior peaks at 1
+finishes there from the row's summary, dense row or not), and top-k takes
+k argmax passes; the prior's top tokens come from a keyed stable sort and
+``fuse_step`` checks only the ends of the prior's ascending support. Every one of them must give
 the plain versions' floats, flags and token ids exactly. Their temporaries
 live in per-thread scratch rows, which must never show in a result, an
 input, or another thread.
@@ -17,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fusion_ref as ref
 import prior_ref
@@ -444,3 +445,65 @@ def test_concurrent_threads_match_the_plain_loops(widths):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+@st.composite
+def _floor_shortcut_steps(draw):
+    """A row whose floor clamp leaves only its 1 to 5 tied maxima, and a prior peaking at 1."""
+    size = draw(st.integers(min_value=2, max_value=130))
+    ties = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1,
+                         max_size=min(5, size - 1), unique=True))
+    peak = draw(st.floats(min_value=-40.0, max_value=40.0))
+    below = draw(st.lists(st.floats(min_value=7.6e-7, max_value=60.0), min_size=size,
+                          max_size=size))
+    z = peak - np.asarray(below)
+    z[ties] = peak
+    top = draw(st.one_of(st.sampled_from(ties), st.integers(min_value=0, max_value=size - 1)))
+    # runners-up of zero or tiny mass (the sum may miss 1 by 1e-9), often at either end of the
+    # ids: more positive tokens than top_k leaves some out of the prior's top tokens, where
+    # only the row's top-k can bring them into the union
+    ends = st.one_of(st.integers(min_value=0, max_value=min(3, size - 1)),
+                     st.integers(min_value=max(0, size - 4), max_value=size - 1))
+    others = draw(st.dictionaries(st.one_of(ends, st.integers(min_value=0, max_value=size - 1)),
+                                  st.sampled_from([0.0, 5e-11, 1e-10]), max_size=6))
+    others.pop(top, None)
+    probs = {**others, top: 1.0 + draw(st.sampled_from([0.0, 2e-10]))}
+    top_k = draw(st.one_of(st.integers(min_value=1, max_value=4),
+                           st.integers(min_value=1, max_value=size + 2)))
+    run_length = draw(st.integers(min_value=0, max_value=9))
+    return z, sorted(ties), SparseDistribution(probs), top_k, run_length
+
+
+# A row tied at 2 alone. With the prior's top on the tie, token 0 (mass 5e-11) is left out
+# of the prior's top 2, and only the row's top-2 fill (the tie, then the smallest other id)
+# brings it into the union; with the prior's top off the ties, the step must still pick it.
+@example(case=(np.array([-1.0, -1.0, 0.0, -1.0, -1.0, -1.0]), [2],
+               SparseDistribution({0: 5e-11, 1: 1e-10, 2: 1.0}), 2, 0))
+@example(case=(np.array([-1.0, -1.0, 0.0, -1.0, -1.0, -1.0]), [2],
+               SparseDistribution({0: 5e-11, 1: 1e-10, 4: 1.0}), 2, 0))
+@given(_floor_shortcut_steps())
+@settings(max_examples=400, deadline=None)
+def test_floor_steps_from_the_row_summary_match_the_plain_loops(case):
+    z, ties, prior, top_k, run_length = case
+    expected = ref.fuse_step(z.copy(), prior, run_length, top_k)
+    row = fusion.BaseRow(z.copy())
+    assert fuse_step(row, prior, run_length, top_k) == expected  # first sight: dense row
+    c_lm = ref.entropy_confidence(ref.softmax_with_temperature(z, 1.0))
+    assert row.summary == fusion.RowSummary(z.size, c_lm, tuple(ties))
+    summary_only = fusion.BaseRow(summary=row.summary)
+    assert fuse_step(summary_only, prior, run_length, top_k) == expected
+
+
+@pytest.mark.parametrize("support", [{3: 1.0, 29: 0.0}, {-1: 0.0, 3: 1.0}, {29: 1.0}])
+def test_prior_token_outside_vocabulary_rejected_from_the_summary(support):
+    z = np.zeros(29)
+    z[[3, 7]] = 1.0
+    prior = SparseDistribution(support)
+    summary = fusion.RowSummary(29, 0.5, (3, 7))
+    messages = set()
+    for step, row in ((ref.fuse_step, z), (fuse_step, fusion.BaseRow(z)),
+                      (fuse_step, fusion.BaseRow(summary=summary))):
+        with pytest.raises(ValueError, match="outside vocabulary of 29") as raised:
+            step(row, prior)
+        messages.add(str(raised.value))
+    assert len(messages) == 1

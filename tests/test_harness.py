@@ -1,8 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import fusion_ref
 from triefusion import harness
 from triefusion.fusion import Decoder, DecoderConfig
 from triefusion.harness import (
@@ -12,8 +14,9 @@ from triefusion.harness import (
     run_online,
     warm_start,
 )
-from triefusion.lm import train_ngram
+from triefusion.lm import LogitProvider, train_ngram
 from triefusion.metrics import evaluate_pair
+from triefusion.prior import trie_prior
 from triefusion.stream import ConceptSpec, DriftSchedule, generate_stream
 from triefusion.trie import PrefixTrie
 from triefusion.vocab import VocabRegistry, tokenize
@@ -209,3 +212,90 @@ def test_adaptation_rate_counts():
         if i.index >= 15
     )
     assert 0 <= matched <= total
+
+
+class _CountedRows(LogitProvider):
+    """A model's rows, counted; ``tied`` lifts the runner-up to the peak, for two or more maxima."""
+
+    def __init__(self, model, tied):
+        super().__init__(model.vocab_size)
+        self.model = model
+        self.tied = tied
+        self.calls = 0
+
+    def logits(self, prefix):
+        self.calls += 1
+        z = self.model.logits(prefix)
+        if self.tied:
+            z[(int(z.argmax()) + 1) % z.size] = z.max()  # a constant row stays constant
+        return z
+
+
+def _dense_reference(stream, trie, provider, decoder, eos):
+    """odd's prequential pass with every step on the dense row, through ``fusion_ref``."""
+    config = decoder.config
+    outputs = []
+    for item in stream:
+        ids, steps, run_length = list(item.prompt), [], 0
+        for _ in range(config.max_new_tokens):
+            prior = trie_prior(trie, ids, item.timestamp, config.weights) if ids else None
+            token, diagnostics, run_length = fusion_ref.fuse_step(
+                provider.logits(ids), prior, run_length, config.top_k, config.continuity_scale)
+            steps.append(diagnostics)
+            ids.append(token)
+            if token == eos:
+                break
+        outputs.append((tuple(ids[len(item.prompt):]), tuple(steps)))
+        trie.insert_sequence(list(item.reference) + [eos], item.timestamp)
+    return outputs
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["one-peak", "tied-peaks"])
+def test_odd_decodes_like_the_dense_path(tied):
+    registry, eos, stream, warmup, model = _world()
+    provider = _CountedRows(model, tied)
+    decoder = Decoder(DecoderConfig(strategy="odd"))
+
+    def trie():
+        fresh = PrefixTrie()
+        warm_start(fresh, warmup, 1.0)
+        return fresh
+
+    records = run_online(stream, trie(), provider, decoder, registry, eos_id=eos)
+    calls = provider.calls
+    expected = _dense_reference(stream, trie(), provider, decoder, eos)
+    assert [(record.generated, record.steps) for record in records] == expected
+    # summaries stood in for rows: with ``tied``, every such row had two or more maxima
+    assert calls < sum(len(record.steps) for record in records)
+
+
+def test_row_memo_holds_under_a_kilobyte_per_prefix(monkeypatch):
+    # wide-vocab's padded vocabulary: a constant (unseen-context) row has 32,768 ties
+    registry, eos, stream, warmup, _ = _world()
+    provider = train_ngram(warmup, order=3, smoothing_k=1.0, vocab_size=32768)
+    providers = []
+
+    def capturing(prompt, trie, provider, *args, **kwargs):
+        providers.append(provider)
+        return decode_sequence(prompt, trie, provider, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "decode_sequence", capturing)
+    trie = PrefixTrie()
+    warm_start(trie, warmup, 1.0)
+    decoder = Decoder(DecoderConfig(strategy="odd"))
+    tracemalloc.start()
+    try:
+        run_online(stream, trie, provider, decoder, registry, eos_id=eos)
+        memo = providers[0]
+        assert all(each is memo for each in providers)  # one memo for the whole call
+        providers.clear()
+        prefixes = len(memo.summaries)
+        # a constant row's summary is among them, without its 32,768 ties
+        assert any(summary.ties is None for summary in memo.summaries.values())
+        held = tracemalloc.get_traced_memory()[0]
+        memo.summaries = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prefixes > 0
+    assert freed <= 1024 * prefixes

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,6 +73,15 @@ def test_load_rejects_repeated_token(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("a\nb\na\nc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"line 3 repeats token 'a' from line 1"):
+        VocabRegistry.load(path)
+
+
+@pytest.mark.parametrize("line", ["", " ", "two words"])
+def test_load_names_the_line_that_is_not_one_token(tmp_path, line):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"a\n{line}\nc\n", encoding="utf-8")
+    message = f"vocabulary file {path} line 2 holds {line!r}, not one word"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         VocabRegistry.load(path)
 
 
